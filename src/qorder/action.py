@@ -20,7 +20,7 @@ from .fields import FFElement, FieldTower
 from .poly import FactoredPoly, FqPoly, _divisor_from_exponents
 
 
-def _check_coeff_field(g: FqPoly, tower: FieldTower) -> None:
+def _check_coeff_field(g: FqPoly | FactoredPoly, tower: FieldTower) -> None:
     if g.field != tower.base:
         raise FieldMismatchError("polynomial is not over the tower's base field")
 
@@ -49,13 +49,7 @@ def linearized_eval(g: FqPoly, x: FFElement) -> FFElement:
     """
     if not g.is_monic:
         raise NotMonicError("linearized evaluation requires a monic polynomial")
-    tower = x.tower
-    _check_coeff_field(g, tower)
-    acc = tower.frob_i(x.value, g.degree)
-    for i, a in enumerate(g.coeffs[:-1]):
-        if a:
-            acc = tower.add_i(acc, tower.mul_i(a, tower.frob_i(x.value, i)))
-    return FFElement(tower, acc)
+    return apply_action(g, x)
 
 
 def adjoint_action(g: FqPoly, x: FFElement) -> FFElement:
@@ -74,11 +68,10 @@ def adjoint_action(g: FqPoly, x: FFElement) -> FFElement:
     n = tower.n
     if g.degree >= n:
         raise DegreeTooLargeError(f"degree {g.degree} must be below n={n}")
-    acc = 0
+    coeffs = [0] * n
     for t, a in enumerate(g.coeffs):
-        if a:
-            acc = tower.add_i(acc, tower.mul_i(a, tower.frob_i(x.value, (n - t) % n)))
-    return FFElement(tower, acc)
+        coeffs[(n - t) % n] = a  # distinct slots since deg g < n
+    return FFElement(tower, _apply_i(tower, tuple(coeffs), x.value))
 
 
 def fq_order(x: FFElement, fp: FactoredPoly) -> FqPoly:
@@ -90,7 +83,7 @@ def fq_order(x: FFElement, fp: FactoredPoly) -> FqPoly:
     with m . x = 0 and (m/P) . x != 0 for every irreducible P | m.
     """
     tower = x.tower
-    _check_coeff_field(fp.expand(), tower)
+    _check_coeff_field(fp, tower)
     xv = x.value
     exps = [e for _, e in fp.factors]
     for idx in range(len(exps)):

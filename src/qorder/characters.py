@@ -92,19 +92,7 @@ def _annihilation_points(tower: FieldTower, coeffs: tuple[int, ...], check: str)
         points = [tower.p**t for t in range(tower.n * tower.s)]
     else:
         points = range(tower.size)
-    frob_maps = [tower.frob_table(i % tower.n) for i in range(len(coeffs))]
-    if all(m is not None for m in frob_maps):
-        add_i, mul_i = tower.add_i, tower.mul_i
-        values = []
-        for xv in points:
-            acc = 0
-            for a, fm in zip(coeffs, frob_maps):
-                if a:
-                    acc = add_i(acc, mul_i(a, fm[xv]))
-            values.append(acc)
-    else:
-        values = [_apply_i(tower, coeffs, xv) for xv in points]
-    values = tuple(values)
+    values = tuple(_apply_i(tower, coeffs, xv) for xv in points)
     tower._action_cache[key] = values
     return values
 

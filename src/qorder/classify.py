@@ -8,8 +8,9 @@ locates primitive normal elements by exhaustive lexicographic search.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from .action import fq_order
 from .characters import AdditiveCharacter, char_order_bruteforce
@@ -52,6 +53,17 @@ def _check_size(tower: FieldTower, size_bound: int) -> None:
         raise SizeExceededError(
             f"sweeping {tower.size} elements exceeds the size bound {size_bound}"
         )
+
+
+def _order_pairs(
+    tower: FieldTower, fp: FactoredPoly, check: str, size_bound: int
+) -> Iterator[tuple[FFElement, FqPoly, FqPoly]]:
+    """Every element with its order and its character's definitional order."""
+    _check_size(tower, size_bound)
+    for v in range(tower.size):
+        x = FFElement(tower, v)
+        char_order = char_order_bruteforce(AdditiveCharacter(x), fp, check=check)
+        yield x, fq_order(x, fp), char_order
 
 
 def elements_by_order(
@@ -134,11 +146,7 @@ def orders_coincide_iff_self_reciprocal(
     The character order is computed by the definitional scan so the check
     does not assume the reciprocal relation it is probing.
     """
-    _check_size(tower, size_bound)
-    for v in range(tower.size):
-        x = FFElement(tower, v)
-        m = fq_order(x, fp)
-        char_order = char_order_bruteforce(AdditiveCharacter(x), fp, check=check)
+    for x, m, char_order in _order_pairs(tower, fp, check, size_bound):
         if (char_order == m) != is_self_reciprocal(m):
             return CoincidenceCheck(holds=False, counterexample=(x, m, char_order))
     return CoincidenceCheck(holds=True, counterexample=None)
@@ -171,12 +179,9 @@ def reciprocal_order_sweep(
     check: str = "basis",
     size_bound: int = DEFAULT_SIZE_BOUND,
 ) -> ReciprocalOrderSweep:
-    _check_size(tower, size_bound)
     mismatches = []
-    for v in range(tower.size):
-        x = FFElement(tower, v)
-        scanned = char_order_bruteforce(AdditiveCharacter(x), fp, check=check)
-        reversed_order = monic_reciprocal(fq_order(x, fp))
+    for x, m, scanned in _order_pairs(tower, fp, check, size_bound):
+        reversed_order = monic_reciprocal(m)
         if scanned != reversed_order:
             mismatches.append((x, scanned, reversed_order))
     return ReciprocalOrderSweep(
@@ -335,18 +340,29 @@ def classification_report(
     scan so the report stays independent of the reciprocal fast path;
     mode="fast" trades that independence for speed on large fields.
     """
-    by_element = elements_by_order(tower, fp, size_bound=size_bound)
-    by_char = characters_by_order(
-        tower, fp, mode=mode, check=check, size_bound=size_bound
-    )
+    if mode not in ("oracle", "fast"):
+        raise ValueError("mode must be 'oracle' or 'fast'")
+    element_counts: Counter[FqPoly] = Counter()
+    char_counts: Counter[FqPoly] = Counter()
+    if mode == "oracle":
+        for _, m, char_order in _order_pairs(tower, fp, check, size_bound):
+            element_counts[m] += 1
+            char_counts[char_order] += 1
+    else:
+        _check_size(tower, size_bound)
+        element_counts.update(
+            fq_order(FFElement(tower, v), fp) for v in range(tower.size)
+        )
+        for m, count in element_counts.items():
+            char_counts[monic_reciprocal(m)] = count
     rows = []
     for f, phi in divisor_phi_table(fp):
         rows.append(
             ClassificationRow(
                 divisor=f,
-                element_count=len(by_element[f]),
+                element_count=element_counts[f],
                 phi=phi,
-                char_count=len(by_char[f]),
+                char_count=char_counts[f],
                 reciprocal=monic_reciprocal(f),
                 self_reciprocal=is_self_reciprocal(f),
             )

@@ -30,7 +30,7 @@ from .classify import (
     reciprocal_order_sweep,
 )
 from .action import fq_order
-from .errors import ParseError, QOrderError
+from .errors import ParseError, PrimitiveNormalNotFoundError, QOrderError
 from .fields import DEFAULT_SIZE_BOUND, build_tower, base_field, element_tokens, parse_element
 from .poly import (
     FqPoly,
@@ -166,10 +166,12 @@ def _require_n(config: CommandConfig) -> int:
     return config.n
 
 
-def _field_entries(config: CommandConfig) -> list[tuple[int, int, int]]:
-    if config.grid:
-        return list(VERIFICATION_GRID)
-    return [(config.p, config.s, _require_n(config))]
+def _field_entries(config: CommandConfig):
+    """Yield (p, s, n, tower, factorization of x^n - 1) for each field to cover."""
+    grid = VERIFICATION_GRID if config.grid else [(config.p, config.s, _require_n(config))]
+    for p, s, n in grid:
+        tower = build_tower(p, s, n, size_bound=config.size_bound)
+        yield p, s, n, tower, factor_xn_minus_1(n, tower.base, config.seed)
 
 
 def cmd_factor(config: CommandConfig) -> ReportDocument:
@@ -199,9 +201,7 @@ def cmd_factor(config: CommandConfig) -> ReportDocument:
 
 
 def cmd_orders(config: CommandConfig) -> ReportDocument:
-    n = _require_n(config)
-    tower = build_tower(config.p, config.s, n, size_bound=config.size_bound)
-    fp = factor_xn_minus_1(n, tower.base, config.seed)
+    [(_, _, _, tower, fp)] = _field_entries(config)
     report = classification_report(
         tower,
         fp,
@@ -238,9 +238,7 @@ def cmd_orders(config: CommandConfig) -> ReportDocument:
 def cmd_verify_theorem(config: CommandConfig) -> ReportDocument:
     rows = []
     counterexamples = []
-    for p, s, n in _field_entries(config):
-        tower = build_tower(p, s, n, size_bound=config.size_bound)
-        fp = factor_xn_minus_1(n, tower.base, config.seed)
+    for p, s, n, tower, fp in _field_entries(config):
         sweep = reciprocal_order_sweep(
             tower, fp, check=config.check, size_bound=config.size_bound
         )
@@ -270,9 +268,7 @@ def cmd_verify_theorem(config: CommandConfig) -> ReportDocument:
 def cmd_corollary1(config: CommandConfig) -> ReportDocument:
     rows = []
     counterexamples = []
-    for p, s, n in _field_entries(config):
-        tower = build_tower(p, s, n, size_bound=config.size_bound)
-        fp = factor_xn_minus_1(n, tower.base, config.seed)
+    for p, s, n, tower, fp in _field_entries(config):
         result = orders_coincide_iff_self_reciprocal(
             tower, fp, check=config.check, size_bound=config.size_bound
         )
@@ -328,9 +324,7 @@ def cmd_corollary2(config: CommandConfig) -> ReportDocument:
 
 
 def cmd_char_order(config: CommandConfig, label_text: str) -> ReportDocument:
-    n = _require_n(config)
-    tower = build_tower(config.p, config.s, n, size_bound=config.size_bound)
-    fp = factor_xn_minus_1(n, tower.base, config.seed)
+    [(_, _, _, tower, fp)] = _field_entries(config)
     label = parse_element(tower, label_text)
     chi = AdditiveCharacter(label)
     m = fq_order(label, fp)
@@ -366,9 +360,7 @@ def cmd_char_order(config: CommandConfig, label_text: str) -> ReportDocument:
 def cmd_pnbt(config: CommandConfig) -> ReportDocument:
     rows = []
     counterexamples = []
-    for p, s, n in _field_entries(config):
-        tower = build_tower(p, s, n, size_bound=config.size_bound)
-        fp = factor_xn_minus_1(n, tower.base, config.seed)
+    for p, s, n, tower, fp in _field_entries(config):
         element = find_primitive_normal(tower, fp, size_bound=config.size_bound)
         normal_count = len(
             elements_by_order(tower, fp, size_bound=config.size_bound)[fp.expand()]
@@ -467,6 +459,8 @@ def _resolve_config(args: argparse.Namespace) -> CommandConfig:
         check=args.check,
         grid=args.grid,
     )
+    if config.grid and config.command in ("factor", "orders", "char-order"):
+        raise ParseError(f"{config.command} does not accept --grid")
     if config.command == "corollary2":
         config.extra["n_max"] = args.n_max
     return config
@@ -492,6 +486,9 @@ def main(argv=None) -> int:
                 "pnbt": cmd_pnbt,
             }[config.command]
             doc = handler(config)
+    except (PrimitiveNormalNotFoundError, AssertionError) as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     except (QOrderError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

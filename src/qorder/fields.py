@@ -224,7 +224,6 @@ class FieldTower:
         "_mod_vec",
         "_exp",
         "_log",
-        "_frob_tables",
         "_trace_basis_list",
         "_trace_table",
         "_action_cache",
@@ -243,7 +242,6 @@ class FieldTower:
         self._mod_vec = top_modulus.coeffs[:-1]
         self._exp = None
         self._log = None
-        self._frob_tables = {}
         self._trace_basis_list = None
         self._trace_table = None
         self._action_cache = {}
@@ -274,15 +272,6 @@ class FieldTower:
         """Tower coordinates: n tuples of s residues mod p each."""
         digits = self.base.digits
         return tuple(digits(c) for c in self.coeff_vec(x))
-
-    def element_lex_key(self, x: int) -> tuple[int, ...]:
-        """Flattened digit tuple; sorting by it gives lexicographic coordinate order."""
-        p = self.p
-        out = []
-        for _ in range(self.n * self.s):
-            x, r = divmod(x, p)
-            out.append(r)
-        return tuple(out)
 
     def enumerate_values(self) -> Iterator[int]:
         """All q^n element encodings in lexicographic coordinate order."""
@@ -390,14 +379,9 @@ class FieldTower:
 
     def frob_table(self, k: int):
         """Full Frobenius lookup list for small towers, else None."""
-        k %= self.n
         if self.size > _EXP_LOG_BOUND:
             return None
-        table = self._frob_tables.get(k)
-        if table is None:
-            table = [self.frob_i(x, k) for x in range(self.size)]
-            self._frob_tables[k] = table
-        return table
+        return [self.frob_i(x, k) for x in range(self.size)]
 
     # -- trace -----------------------------------------------------------------
 
@@ -457,7 +441,7 @@ class FieldTower:
         for cand in range(2, self.size):
             ok = True
             for r in primes:
-                if self._pow_vec(cand, m // r) == 1:
+                if self.pow_i(cand, m // r) == 1:
                     ok = False
                     break
             if ok:
@@ -473,16 +457,6 @@ class FieldTower:
             acc = self._mul_vec(acc, gen)
         self._exp = exp
         self._log = log
-
-    def _pow_vec(self, x: int, e: int) -> int:
-        result = 1
-        base = x
-        while e:
-            if e & 1:
-                result = self._mul_vec(result, base)
-            base = self._mul_vec(base, base)
-            e >>= 1
-        return result
 
     # -- identity -------------------------------------------------------------------
 

@@ -500,14 +500,10 @@ def divisor_phi_table(
 ) -> tuple[tuple[FqPoly, int], ...]:
     """(divisor, phi_q(divisor)) pairs in (degree, lex) order."""
     _check_divisor_count(fp, max_divisors)
-    q = fp.field.size
     rows = []
     for exps in _exponent_vectors(fp):
-        phi = 1
-        for (g, _), e in zip(fp.factors, exps):
-            if e:
-                d = g.degree
-                phi *= q ** ((e - 1) * d) * (q**d - 1)
+        part = tuple((g, e) for (g, _), e in zip(fp.factors, exps) if e)
+        phi = phi_q(FactoredPoly(fp.field, part))
         rows.append((_divisor_from_exponents(fp, exps), phi))
     rows.sort(key=lambda r: poly_sort_key(r[0]))
     return tuple(rows)

@@ -3,6 +3,7 @@ import pytest
 from qorder import (
     AdditiveCharacter,
     FFElement,
+    FieldTower,
     FqPoly,
     MEYN_SWEEP_MAX_N,
     MEYN_SWEEP_PRIME_POWERS,
@@ -27,6 +28,7 @@ from qorder import (
     orders_coincide_iff_self_reciprocal,
     phi_q,
     reciprocal_order_sweep,
+    smallest_irreducible,
 )
 from qorder.errors import SizeExceededError
 
@@ -255,6 +257,25 @@ class TestClassificationReport:
             for row in rep.rows:
                 assert row.char_count == counts[row.reciprocal]
                 assert row.self_reciprocal == is_self_reciprocal(row.divisor)
+
+
+@pytest.mark.parametrize("p,s,n", [(2, 1, 6), (3, 1, 4), (2, 2, 3), (2, 1, 8)])
+def test_sweeps_on_coefficient_vector_path(p, s, n):
+    # a tower built without build_log_tables runs every sweep on schoolbook
+    # coefficient-vector arithmetic, which the table-backed grid never reaches
+    base = base_field(p, s)
+    t = FieldTower(base, smallest_irreducible(base, n))
+    fp = factor_xn_minus_1(n, base)
+    assert reciprocal_order_sweep(t, fp).passed
+    if t.size <= 64:
+        assert reciprocal_order_sweep(t, fp, check="exhaustive").passed
+    assert orders_coincide_iff_self_reciprocal(t, fp).holds
+    for mode in ("oracle", "fast"):
+        rep = classification_report(t, fp, mode=mode)
+        assert sum(r.element_count for r in rep.rows) == t.size
+        for row in rep.rows:
+            assert row.element_count == row.char_count == row.phi == phi_q(row.divisor)
+    assert t._exp is None
 
 
 def test_verification_grid_shape():

@@ -2,7 +2,10 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from qorder.cli import main
+from qorder.errors import PrimitiveNormalNotFoundError
 
 
 def run_cli(capsys, *args):
@@ -212,6 +215,20 @@ class TestConfigPlumbing:
         assert code == 2
         assert "exceeds" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--n", "3", "factor", "--grid"),
+            ("--grid", "--n", "2", "orders"),
+            ("--n", "2", "char-order", "0,1", "--grid"),
+        ],
+    )
+    def test_grid_rejected_where_unsupported(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert "does not accept --grid" in err
+        assert out == ""
+
     def test_unknown_subcommand_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "frobnicate")
         assert code == 2
@@ -249,6 +266,34 @@ class TestReportPlumbing:
         code, out, _ = run_cli(capsys, "--p", "2", "--n", "3", "factor")
         assert code == 1
         assert "verdict: fail" in out
+
+    @pytest.mark.parametrize(
+        "target,exc,argv",
+        [
+            (
+                "find_primitive_normal",
+                PrimitiveNormalNotFoundError("arithmetic is broken"),
+                ("--p", "2", "--n", "3", "pnbt"),
+            ),
+            (
+                "reciprocal_order_sweep",
+                AssertionError("invariant violated"),
+                ("--p", "2", "--n", "3", "verify-theorem"),
+            ),
+        ],
+    )
+    def test_internal_error_exits_3(self, capsys, monkeypatch, target, exc, argv):
+        import qorder.cli as cli_mod
+
+        def broken(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli_mod, target, broken)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("internal error:") and err.count("\n") == 1
+        assert str(exc) in err
 
 
 def test_module_invocation_smoke():

@@ -136,7 +136,10 @@ class TestFieldAxioms:
             for _ in range(200):
                 a = rng.randrange(1, t.size)
                 assert t.mul_i(a, t.inv_i(a)) == 1
-                assert t.frob_i(a, 1) == t._pow_vec(a, t.q)
+                power = 1
+                for _ in range(t.q):
+                    power = t._mul_vec(power, a)
+                assert t.frob_i(a, 1) == power
 
     def test_pow_and_inv(self):
         t = build_tower(3, 1, 2)
@@ -328,7 +331,8 @@ class TestFFElement:
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 728), st.integers(0, 728), st.integers(0, 728))
 def test_f729_axioms_random(a, b, c):
-    # a larger field exercising the schoolbook path less exhaustively
+    # a larger field, sampled rather than exhaustive; 729 < 2^14, so this
+    # runs on the log tables, not on coefficient-vector arithmetic
     t = build_tower(3, 2, 3)
     assert t.mul_i(a, t.add_i(b, c)) == t.add_i(t.mul_i(a, b), t.mul_i(a, c))
     assert t.mul_i(t.mul_i(a, b), c) == t.mul_i(a, t.mul_i(b, c))
