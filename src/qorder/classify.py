@@ -16,7 +16,7 @@ from .action import fq_order
 from .characters import AdditiveCharacter, char_order_bruteforce
 from .errors import PrimitiveNormalNotFoundError, SizeExceededError, ZeroElementError
 from .fields import DEFAULT_SIZE_BOUND, FFElement, FieldTower, base_field
-from .integers import factorize, prime_factors, prime_power_decomposition
+from .integers import factorize, prime_power_decomposition
 from .poly import (
     FactoredPoly,
     FqPoly,
@@ -264,11 +264,7 @@ def multiplicative_order(x: FFElement) -> int:
 
 def is_primitive(x: FFElement) -> bool:
     """True iff x generates the multiplicative group."""
-    if x.is_zero:
-        return False
-    tower = x.tower
-    group = tower.size - 1
-    return all(tower.pow_i(x.value, group // r) != 1 for r in prime_factors(group))
+    return x.tower.is_primitive_i(x.value)
 
 
 def find_primitive_normal(
@@ -285,12 +281,8 @@ def find_primitive_normal(
     """
     _check_size(tower, size_bound)
     full = fp.expand()
-    group = tower.size - 1
-    primes = prime_factors(group)
     for v in tower.enumerate_values():
-        if v == 0:
-            continue
-        if any(tower.pow_i(v, group // r) == 1 for r in primes):
+        if not tower.is_primitive_i(v):
             continue
         x = FFElement(tower, v)
         if fq_order(x, fp) == full:

@@ -22,16 +22,22 @@ from .classify import (
     MEYN_SWEEP_PRIME_POWERS,
     VERIFICATION_GRID,
     classification_report,
-    elements_by_order,
     find_primitive_normal,
     meyn_criterion,
     multiplicative_order,
     orders_coincide_iff_self_reciprocal,
     reciprocal_order_sweep,
 )
-from .action import fq_order
+from .action import fq_order, is_normal
 from .errors import ParseError, PrimitiveNormalNotFoundError, QOrderError
-from .fields import DEFAULT_SIZE_BOUND, build_tower, base_field, element_tokens, parse_element
+from .fields import (
+    DEFAULT_SIZE_BOUND,
+    FFElement,
+    base_field,
+    build_tower,
+    element_tokens,
+    parse_element,
+)
 from .poly import (
     FqPoly,
     factor_xn_minus_1,
@@ -44,6 +50,8 @@ from .poly import (
 _FORMATS = ("text", "json", "csv")
 _MODES = ("oracle", "fast", "both")
 _CHECKS = ("basis", "exhaustive")
+#: Commands with a single way to compute their report: --mode means nothing to them.
+_MODELESS_COMMANDS = ("factor", "verify-theorem", "corollary1", "corollary2", "pnbt")
 
 
 @dataclass
@@ -362,9 +370,7 @@ def cmd_pnbt(config: CommandConfig) -> ReportDocument:
     counterexamples = []
     for p, s, n, tower, fp in _field_entries(config):
         element = find_primitive_normal(tower, fp, size_bound=config.size_bound)
-        normal_count = len(
-            elements_by_order(tower, fp, size_bound=config.size_bound)[fp.expand()]
-        )
+        normal_count = sum(is_normal(FFElement(tower, v), fp) for v in range(tower.size))
         phi_full = phi_q(fp)
         rows.append(
             {
@@ -461,6 +467,8 @@ def _resolve_config(args: argparse.Namespace) -> CommandConfig:
     )
     if config.grid and config.command in ("factor", "orders", "char-order"):
         raise ParseError(f"{config.command} does not accept --grid")
+    if config.mode != "both" and config.command in _MODELESS_COMMANDS:
+        raise ParseError(f"{config.command} does not accept --mode")
     if config.command == "corollary2":
         config.extra["n_max"] = args.n_max
     return config

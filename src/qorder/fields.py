@@ -11,14 +11,17 @@ the required degree, where coefficient tuples are compared constant term
 first and each F_q coefficient by its base-p digit tuple.  This makes
 every tower, and hence every report, reproducible across runs.
 
-Fields up to 2^14 elements get discrete-log tables (multiplication,
-inversion and Frobenius become table lookups); larger towers fall back to
-schoolbook coefficient-vector arithmetic.
+Both levels share one arithmetic core, FieldTower: F_{q^n} is the tower
+over F_q, and F_q itself (for s > 1) is computed as the tower F_p[t]/(g0)
+over F_p.  Either level gets discrete-log tables (multiplication, inversion
+and Frobenius become table lookups) up to 2^14 elements; larger fields fall
+back to schoolbook coefficient-vector arithmetic.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from functools import lru_cache
 from typing import Iterator
 
@@ -29,19 +32,24 @@ from .poly import FqPoly, is_irreducible
 #: Exhaustive operations refuse fields larger than this unless overridden.
 DEFAULT_SIZE_BOUND = 1 << 24
 
-# Internal speed knobs; these never affect results, only how they are computed.
+# Internal speed knob; it never affects results, only how they are computed.
+# build_log_tables gives any field up to this size, F_q or F_{q^n}, log tables;
+# larger ones keep coefficient-vector arithmetic.
 _EXP_LOG_BOUND = 1 << 14
-_BASE_TABLE_BOUND = 128
 
 
 class BaseField:
     """F_q = F_p[t]/(g0) with elements encoded as integers in [0, q).
 
+    For s > 1 the arithmetic is that of the tower F_p < F_p[t]/(g0): add,
+    neg, sub, mul and inv are its add_i, neg_i, sub_i, mul_i and inv_i.
+    For s = 1 they are plain residue operations mod p.
+
     Instances are immutable after construction; use base_field() to get the
     canonical instance for given (p, s).
     """
 
-    __slots__ = ("p", "s", "size", "modulus", "_mul_table", "_inv_table", "_lex")
+    __slots__ = ("p", "s", "size", "modulus", "add", "neg", "sub", "mul", "inv", "_lex")
 
     def __init__(self, p: int, s: int, modulus: tuple[int, ...]):
         self.p = p
@@ -50,20 +58,33 @@ class BaseField:
         self.modulus = tuple(modulus)
         if len(self.modulus) != s + 1 or self.modulus[-1] != 1:
             raise ValueError("modulus must be monic of degree s")
-        self._mul_table = None
-        self._inv_table = None
         self._lex = None
-        if self.size <= _BASE_TABLE_BOUND:
-            q = self.size
-            table = [self._mul_raw(a, b) for a in range(q) for b in range(q)]
-            inv = [0] * q
-            for a in range(1, q):
-                for b in range(1, q):
-                    if table[a * q + b] == 1:
-                        inv[a] = b
-                        break
-            self._mul_table = table
-            self._inv_table = inv
+        if s > 1:
+            prime = base_field(p, 1)
+            g0 = FqPoly(prime, self.modulus)
+            if not is_irreducible(g0):
+                raise ValueError("modulus must be irreducible over F_p")
+            tower = FieldTower(prime, g0)
+            tower.build_log_tables()
+            self.add, self.neg, self.sub = tower.add_i, tower.neg_i, tower.sub_i
+            self.mul, self.inv = tower.mul_i, tower.inv_i
+            return
+        if p == 2:
+            self.add = self.sub = operator.xor
+            self.neg = operator.pos
+            self.mul = operator.and_
+        else:
+            self.add = lambda a, b: (a + b) % p
+            self.neg = lambda a: -a % p
+            self.sub = lambda a, b: (a - b) % p
+            self.mul = lambda a, b: a * b % p
+
+        def inv(a: int) -> int:
+            if a == 0:
+                raise ZeroDivisionError("inverse of zero")
+            return pow(a, -1, p)
+
+        self.inv = inv
 
     # -- encoding ------------------------------------------------------------
 
@@ -87,80 +108,6 @@ class BaseField:
         if self._lex is None:
             self._lex = tuple(sorted(range(self.size), key=self.digits))
         return self._lex
-
-    # -- arithmetic ------------------------------------------------------------
-
-    def add(self, a: int, b: int) -> int:
-        p = self.p
-        if p == 2:
-            return a ^ b
-        if self.s == 1:
-            return (a + b) % p
-        return self.from_digits(
-            [(x + y) % p for x, y in zip(self.digits(a), self.digits(b))]
-        )
-
-    def neg(self, a: int) -> int:
-        p = self.p
-        if p == 2:
-            return a
-        if self.s == 1:
-            return (-a) % p
-        return self.from_digits([(-x) % p for x in self.digits(a)])
-
-    def sub(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return a ^ b
-        return self.add(a, self.neg(b))
-
-    def _mul_raw(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        p, s = self.p, self.s
-        if s == 1:
-            return a * b % p
-        da, db = self.digits(a), self.digits(b)
-        prod = [0] * (2 * s - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    prod[i + j] = (prod[i + j] + x * y) % p
-        for i in range(2 * s - 2, s - 1, -1):
-            c = prod[i]
-            if c:
-                prod[i] = 0
-                for j in range(s):
-                    m = self.modulus[j]
-                    if m:
-                        prod[i - s + j] = (prod[i - s + j] - c * m) % p
-        return self.from_digits(prod[:s])
-
-    def mul(self, a: int, b: int) -> int:
-        if self._mul_table is not None:
-            return self._mul_table[a * self.size + b]
-        return self._mul_raw(a, b)
-
-    def pow(self, a: int, e: int) -> int:
-        if a == 0:
-            if e < 0:
-                raise ZeroDivisionError("inverse of zero")
-            return 1 if e == 0 else 0
-        e %= self.size - 1 or 1
-        result = 1
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        if self._inv_table is not None:
-            return self._inv_table[a]
-        return self.pow(a, self.size - 2)
 
     # -- identity ---------------------------------------------------------------
 
@@ -425,29 +372,32 @@ class FieldTower:
             self._trace_table = table
         return table[x]
 
+    def is_primitive_i(self, x: int) -> bool:
+        """True iff x generates the multiplicative group.
+
+        That is, x^((size-1)/r) != 1 for every prime r dividing size - 1.
+        """
+        if x == 0:
+            return False
+        m = self.size - 1
+        return all(self.pow_i(x, m // r) != 1 for r in prime_factors(m))
+
     # -- internal table construction ---------------------------------------------
 
     def build_log_tables(self) -> None:
         """Construct discrete-log tables over a scanned generator (idempotent)."""
-        if self._exp is not None:
+        if self._exp is not None or self.size > _EXP_LOG_BOUND:
             return
         m = self.size - 1
         if m == 1:
             self._exp = [1]
             self._log = [0, 0]
             return
-        primes = prime_factors(m)
-        gen = None
-        for cand in range(2, self.size):
-            ok = True
-            for r in primes:
-                if self.pow_i(cand, m // r) == 1:
-                    ok = False
-                    break
-            if ok:
-                gen = cand
+        for gen in range(2, self.size):
+            if self.is_primitive_i(gen):
                 break
-        assert gen is not None, "the multiplicative group is cyclic"
+        else:
+            raise AssertionError("the multiplicative group is cyclic")
         exp = [1] * m
         log = [0] * self.size
         acc = 1
@@ -598,8 +548,7 @@ def build_tower(
 def _tower_cached(p: int, s: int, n: int) -> FieldTower:
     base = base_field(p, s)
     tower = FieldTower(base, smallest_irreducible(base, n))
-    if tower.size <= _EXP_LOG_BOUND:
-        tower.build_log_tables()
+    tower.build_log_tables()
     return tower
 
 

@@ -1,9 +1,10 @@
 """Independent brute-force oracles used to validate the library's fast paths.
 
-These deliberately avoid the code paths they check: irreducibility is decided
-by exhaustive trial products, factorization by smallest-divisor trial division,
-element orders by a full divisor scan, traces by summing conjugates with plain
-multiplication, and normality by Gaussian elimination on the conjugate matrix.
+These deliberately avoid the code paths they check: base-field arithmetic is
+done on base-p digit lists, irreducibility is decided by exhaustive trial
+products, factorization by smallest-divisor trial division, element orders by a
+full divisor scan, traces by summing conjugates with plain multiplication, and
+normality by Gaussian elimination on the conjugate matrix.
 """
 
 import itertools
@@ -33,6 +34,46 @@ def coeff_lex_order(field):
         return tuple(out)
 
     return sorted(range(field.size), key=digits)
+
+
+def _digits(p, s, c):
+    out = []
+    for _ in range(s):
+        c, r = divmod(c, p)
+        out.append(r)
+    return out
+
+
+def _from_digits(p, digits):
+    value = 0
+    for d in reversed(digits):
+        value = value * p + d
+    return value
+
+
+def oracle_base_add(p, s, a, b):
+    """a + b in F_{p^s}: base-p digits added mod p."""
+    pairs = zip(_digits(p, s, a), _digits(p, s, b))
+    return _from_digits(p, [(x + y) % p for x, y in pairs])
+
+
+def oracle_base_neg(p, s, a):
+    """-a in F_{p^s}: base-p digits negated mod p."""
+    return _from_digits(p, [-x % p for x in _digits(p, s, a)])
+
+
+def oracle_base_mul(p, modulus, a, b):
+    """a * b in F_p[t]/(modulus): digit polynomials multiplied, then reduced mod modulus."""
+    s = len(modulus) - 1
+    prod = [0] * (2 * s - 1)
+    for i, x in enumerate(_digits(p, s, a)):
+        for j, y in enumerate(_digits(p, s, b)):
+            prod[i + j] += x * y
+    for i in range(2 * s - 2, s - 1, -1):
+        c = prod[i] % p
+        for j, m in enumerate(modulus):
+            prod[i - s + j] -= c * m
+    return _from_digits(p, [c % p for c in prod[:s]])
 
 
 def monic_polys(field, degree):

@@ -229,6 +229,27 @@ class TestConfigPlumbing:
         assert "does not accept --grid" in err
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--mode", "fast", "verify-theorem", "--grid"),
+            ("--n", "2", "corollary1", "--mode", "oracle"),
+            ("--mode", "fast", "corollary2", "--n-max", "3"),
+            ("--n", "2", "pnbt", "--mode", "oracle"),
+            ("--n", "3", "factor", "--mode", "fast"),
+        ],
+    )
+    def test_mode_rejected_where_ignored(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert f"error: {argv[2]} does not accept --mode" in err
+        assert out == ""
+
+    def test_default_mode_accepted_where_ignored(self, capsys):
+        code, out, _ = run_cli(capsys, "--n", "2", "pnbt", "--mode", "both", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["meta"]["mode"] == "both"
+
     def test_unknown_subcommand_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "frobnicate")
         assert code == 2

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qorder import (
+    BaseField,
     FFElement,
     FieldMismatchError,
     NonPrimeError,
@@ -19,8 +20,16 @@ from qorder import (
     trace_to_prime,
 )
 from qorder.errors import ParseError
+from qorder.fields import _EXP_LOG_BOUND
 
-from oracles import monic_polys, oracle_is_irreducible, oracle_trace
+from oracles import (
+    monic_polys,
+    oracle_base_add,
+    oracle_base_mul,
+    oracle_base_neg,
+    oracle_is_irreducible,
+    oracle_trace,
+)
 
 
 class TestCanonicalModuli:
@@ -344,3 +353,58 @@ def test_base_field_caching_and_errors():
         base_field(9)
     with pytest.raises(ValueError):
         base_field(2, 0)
+
+
+def check_base_arithmetic(field, pairs):
+    """add/neg/sub/mul/inv of a base field against the digit-list oracle."""
+    p, s, g0 = field.p, field.s, field.modulus
+    for a, b in pairs:
+        assert field.add(a, b) == oracle_base_add(p, s, a, b)
+        assert field.neg(a) == oracle_base_neg(p, s, a)
+        assert field.sub(a, b) == oracle_base_add(p, s, a, oracle_base_neg(p, s, b))
+        assert field.mul(a, b) == oracle_base_mul(p, g0, a, b)
+        if a:
+            assert oracle_base_mul(p, g0, a, field.inv(a)) == 1
+
+
+class TestBaseFieldArithmetic:
+    @pytest.mark.parametrize(
+        "p,s", [(2, 1), (3, 1), (131, 1), (2, 2), (2, 3), (3, 2), (5, 2)]
+    )
+    def test_exhaustive(self, p, s):
+        field = base_field(p, s)
+        check_base_arithmetic(field, itertools.product(range(field.size), repeat=2))
+
+    @pytest.mark.parametrize("p,s", [(2, 8), (3, 5), (2, 15), (3, 9)])
+    def test_sampled_on_both_paths(self, p, s):
+        # 2^8 and 3^5 multiply through log tables; 2^15 and 3^9 lie past
+        # _EXP_LOG_BOUND and multiply coefficient vectors over F_p
+        import random
+
+        field = base_field(p, s)
+        tower = field.mul.__self__
+        assert (tower._exp is not None) == (field.size <= _EXP_LOG_BOUND)
+        rng = random.Random(p * 100 + s)
+        pairs = [(rng.randrange(field.size), rng.randrange(field.size)) for _ in range(400)]
+        check_base_arithmetic(field, [(0, 0), (1, 0), (field.size - 1, 1), *pairs])
+
+    @pytest.mark.parametrize("p,s", [(2, 1), (7, 1), (2, 2), (3, 2), (2, 15)])
+    def test_inverse_of_zero_raises(self, p, s):
+        with pytest.raises(ZeroDivisionError):
+            base_field(p, s).inv(0)
+
+    def test_direct_construction_matches_canonical(self):
+        for p, s in [(2, 3), (3, 2), (5, 2)]:
+            canonical = base_field(p, s)
+            direct = BaseField(p, s, canonical.modulus)
+            assert direct == canonical and hash(direct) == hash(canonical)
+            for a, b in itertools.product(range(direct.size), repeat=2):
+                assert direct.mul(a, b) == canonical.mul(a, b)
+                assert direct.add(a, b) == canonical.add(a, b)
+        # a non-canonical modulus of F_9: t^2 + t + 2
+        other = BaseField(3, 2, (2, 1, 1))
+        assert other != base_field(3, 2)
+        check_base_arithmetic(other, itertools.product(range(9), repeat=2))
+        # t^2 + 1 = (t + 1)^2 over F_2 is reducible: no field, so no BaseField
+        with pytest.raises(ValueError, match="irreducible"):
+            BaseField(2, 2, (1, 0, 1))
