@@ -17,12 +17,14 @@ from .errors import (
     ZeroConstantTermError,
 )
 from .fields import FFElement, FieldTower
-from .poly import FactoredPoly, FqPoly, _divisor_from_exponents
+from .poly import FactoredPoly, FqPoly
 
 
 def _check_coeff_field(g: FqPoly | FactoredPoly, tower: FieldTower) -> None:
     if g.field != tower.base:
         raise FieldMismatchError("polynomial is not over the tower's base field")
+    if isinstance(g, FactoredPoly) and g.degree != tower.n:
+        raise FieldMismatchError(f"not a factorization of x^{tower.n} - 1")
 
 
 def _apply_i(tower: FieldTower, coeffs: tuple[int, ...], xv: int) -> int:
@@ -89,11 +91,10 @@ def fq_order(x: FFElement, fp: FactoredPoly) -> FqPoly:
     for idx in range(len(exps)):
         while exps[idx] > 0:
             exps[idx] -= 1
-            cand = _divisor_from_exponents(fp, tuple(exps))
-            if _apply_i(tower, cand.coeffs, xv) != 0:
+            if _apply_i(tower, fp.divisor(tuple(exps)).coeffs, xv) != 0:
                 exps[idx] += 1
                 break
-    return _divisor_from_exponents(fp, tuple(exps))
+    return fp.divisor(tuple(exps))
 
 
 def is_normal(x: FFElement, fp: FactoredPoly) -> bool:

@@ -13,11 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .action import _apply_i, apply_action, fq_order
+from .action import _apply_i, _check_coeff_field, apply_action, fq_order
 from .errors import FieldMismatchError
 from .fields import FFElement, FieldTower
 from .poly import (
-    DEFAULT_DIVISOR_BOUND,
     FactoredPoly,
     FqPoly,
     divisors_of_xn_minus_1,
@@ -108,8 +107,7 @@ def char_annihilated_by(
     if check not in _CHECK_MODES:
         raise ValueError(f"check must be one of {_CHECK_MODES}")
     tower = chi.tower
-    if g.field != tower.base:
-        raise FieldMismatchError("polynomial is not over the tower's base field")
+    _check_coeff_field(g, tower)
     lab = chi.label.value
     if lab == 0:
         return True
@@ -125,14 +123,14 @@ def char_order_bruteforce(
     fp: FactoredPoly,
     *,
     check: str = "basis",
-    max_divisors: int = DEFAULT_DIVISOR_BOUND,
 ) -> FqPoly:
     """Definitional order computation: scan the divisors of x^n - 1 in
     (degree, lex) order and return the first that annihilates chi.
 
     Minimality makes the result unique; the scan order only affects cost.
     """
-    for g in divisors_of_xn_minus_1(fp, max_divisors):
+    _check_coeff_field(fp, chi.tower)
+    for g in divisors_of_xn_minus_1(fp):
         if char_annihilated_by(g, chi, check=check):
             return g
     raise AssertionError("x^n - 1 annihilates every character")

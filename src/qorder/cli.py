@@ -52,6 +52,8 @@ _MODES = ("oracle", "fast", "both")
 _CHECKS = ("basis", "exhaustive")
 #: Commands with a single way to compute their report: --mode means nothing to them.
 _MODELESS_COMMANDS = ("factor", "verify-theorem", "corollary1", "corollary2", "pnbt")
+#: Commands that never scan character orders: --check means nothing to them.
+_CHECKLESS_COMMANDS = ("factor", "corollary2", "pnbt")
 
 
 @dataclass
@@ -469,6 +471,9 @@ def _resolve_config(args: argparse.Namespace) -> CommandConfig:
         raise ParseError(f"{config.command} does not accept --grid")
     if config.mode != "both" and config.command in _MODELESS_COMMANDS:
         raise ParseError(f"{config.command} does not accept --mode")
+    fast = config.mode == "fast" and config.command in ("orders", "char-order")
+    if config.check != "basis" and (config.command in _CHECKLESS_COMMANDS or fast):
+        raise ParseError(f"{config.command} does not accept --check")
     if config.command == "corollary2":
         config.extra["n_max"] = args.n_max
     return config

@@ -348,28 +348,23 @@ class FieldTower:
             self._trace_basis_list = basis
         return basis
 
+    def _trace_digits(self, x: int) -> int:
+        """Tr(x): the base-p digits of x dotted with the trace basis, mod p."""
+        p = self.p
+        acc = 0
+        for b in self._trace_basis():
+            x, d = divmod(x, p)
+            if d and b:
+                acc += d * b
+        return acc % p
+
     def trace_i(self, x: int) -> int:
         """Tr_{q^n/p}(x) = sum of the n*s p-power conjugates, as a residue mod p."""
         table = self._trace_table
         if table is None:
-            p = self.p
-            basis = self._trace_basis()
             if self.size > _EXP_LOG_BOUND:
-                acc = 0
-                for b in basis:
-                    x, d = divmod(x, p)
-                    if d and b:
-                        acc += d * b
-                return acc % p
-            table = [0] * self.size
-            for v in range(1, self.size):
-                w, acc = v, 0
-                for b in basis:
-                    w, d = divmod(w, p)
-                    if d and b:
-                        acc += d * b
-                table[v] = acc % p
-            self._trace_table = table
+                return self._trace_digits(x)
+            table = self._trace_table = [self._trace_digits(v) for v in range(self.size)]
         return table[x]
 
     def is_primitive_i(self, x: int) -> bool:

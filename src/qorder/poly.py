@@ -6,17 +6,18 @@ with no trailing zeros; the zero polynomial has an empty tuple and degree
 coefficient field F_q (little-endian base-p digits, see qorder.fields).
 
 Beyond ring arithmetic this module provides the monic reciprocal
-f*(x) = f(0)^-1 x^deg(f) f(1/x), a Rabin irreducibility test, the complete
-factorization of x^n - 1, the divisor lattice of a factored polynomial, and
-the polynomial Euler totient phi_q.
+f*(x) = f(0)^-1 x^deg(f) f(1/x), one distinct-degree loop that serves both
+the Ben-Or irreducibility test and the complete factorization of x^n - 1,
+the divisor lattice of a factored polynomial (multiplied out once and kept
+on the FactoredPoly itself), and the polynomial Euler totient phi_q.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from math import prod
 from typing import TYPE_CHECKING, Iterable, Iterator
 
@@ -26,7 +27,6 @@ from .errors import (
     SizeExceededError,
     ZeroConstantTermError,
 )
-from .integers import prime_factors
 
 if TYPE_CHECKING:
     from .fields import BaseField
@@ -320,10 +320,11 @@ def monic_polynomials(field: "BaseField", degree: int) -> Iterator[FqPoly]:
 
 
 def is_irreducible(f: FqPoly) -> bool:
-    """Rabin irreducibility test.
+    """Ben-Or irreducibility test.
 
-    f of degree d is irreducible over F_q iff x^(q^d) = x (mod f) and
-    x^(q^(d/r)) - x is coprime to f for every prime r dividing d.
+    f of degree d is irreducible over F_q iff gcd(x^(q^k) - x, f) = 1 for
+    every k <= d/2, that is, iff the first distinct-degree part of f has
+    degree d (von zur Gathen & Gerhard, Modern Computer Algebra, 14.9).
     """
     d = f.degree
     if d <= 0:
@@ -331,56 +332,63 @@ def is_irreducible(f: FqPoly) -> bool:
     if f.coeffs[0] == 0:
         # divisible by x: irreducible only if it IS (a scalar multiple of) x
         return d == 1
-    field = f.field
-    q = field.size
-    x = FqPoly.x(field)
-    checkpoints = {d // r for r in prime_factors(d)}
-    saved = []
-    frob = x % f
-    for k in range(1, d + 1):
-        frob = frob.powmod(q, f)
-        if k in checkpoints:
-            saved.append(frob)
-    if frob != x % f:
-        return False
-    for h in saved:
-        if poly_gcd(h - x, f).degree != 0:
-            return False
-    return True
+    return next(_distinct_degree(f.monic()))[0] == d
 
 
 # -- factorization of x^n - 1 ----------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class FactoredPoly:
     """A factorization into monic irreducibles with multiplicities.
 
     Factors are pairwise distinct and canonically sorted by (degree, lex).
+    Divisors are multiplied out once per instance and kept with it.
     """
 
     field: "BaseField"
     factors: tuple[tuple[FqPoly, int], ...]
+    _products: dict = dataclasses.field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def divisor(self, exps: tuple[int, ...]) -> FqPoly:
+        """The divisor with exponent exps[i] on the i-th irreducible factor."""
+        products = self._products
+        chain = []  # (exponents, factor) still to multiply out, largest first
+        while exps not in products and any(exps):
+            i = max(j for j, e in enumerate(exps) if e)
+            chain.append((exps, self.factors[i][0]))
+            exps = exps[:i] + (exps[i] - 1,) + exps[i + 1 :]
+        out = products[exps] if exps in products else FqPoly.one(self.field)
+        for key, g in reversed(chain):
+            out = products[key] = out * g
+        return out
 
     def expand(self) -> FqPoly:
         """Multiply the factorization back out."""
-        return _expand_cached(self)
+        return self.divisor(tuple(e for _, e in self.factors))
 
-    @property
+    @cached_property
     def degree(self) -> int:
         return sum(g.degree * e for g, e in self.factors)
 
     def divisor_count(self) -> int:
         return prod(e + 1 for _, e in self.factors)
 
+    @cached_property
+    def _phi_table(self) -> tuple[tuple[FqPoly, int], ...]:
+        """(divisor, phi_q(divisor)) for every divisor, in (degree, lex) order."""
+        rows = []
+        for exps in itertools.product(*(range(e + 1) for _, e in self.factors)):
+            part = tuple((g, e) for (g, _), e in zip(self.factors, exps) if e)
+            rows.append((self.divisor(exps), phi_q(FactoredPoly(self.field, part))))
+        rows.sort(key=lambda r: poly_sort_key(r[0]))
+        return tuple(rows)
 
-@lru_cache(maxsize=None)
-def _expand_cached(fp: FactoredPoly) -> FqPoly:
-    out = FqPoly.one(fp.field)
-    for g, e in fp.factors:
-        for _ in range(e):
-            out = out * g
-    return out
+    @cached_property
+    def _divisor_tuple(self) -> tuple[FqPoly, ...]:
+        return tuple(f for f, _ in self._phi_table)
 
 
 def _random_poly(field: "BaseField", degree_bound: int, rng: random.Random) -> FqPoly:
@@ -416,26 +424,34 @@ def _equal_degree_split(f: FqPoly, d: int, rng: random.Random) -> list[FqPoly]:
             return _equal_degree_split(g, d, rng) + _equal_degree_split(f // g, d, rng)
 
 
-def _factor_squarefree(f: FqPoly, rng: random.Random) -> list[FqPoly]:
-    """Irreducible factors of a monic squarefree f: distinct-degree, then equal-degree."""
+def _distinct_degree(f: FqPoly) -> Iterator[tuple[int, FqPoly]]:
+    """Distinct-degree parts (d, product of f's degree-d irreducible factors).
+
+    f is monic.  Yields the nontrivial gcd(x^(q^d) - x, rest) for d = 1, 2, ...
+    while 2d <= deg rest, dividing each out of the rest, and then the rest of
+    positive degree, which is irreducible if f is squarefree, as (deg rest, rest).
+    """
     field = f.field
     q = field.size
     x = FqPoly.x(field)
-    out: list[FqPoly] = []
-    remaining = f
-    frob = x % remaining
-    d = 0
-    while remaining.degree > 0 and 2 * (d + 1) <= remaining.degree:
+    rest = f
+    frob = x % rest
+    d = 1
+    while 2 * d <= rest.degree:
+        frob = frob.powmod(q, rest)
+        part = poly_gcd(frob - x, rest)
+        if part.degree > 0:
+            yield d, part
+            rest = rest // part
+            frob = frob % rest
         d += 1
-        frob = frob.powmod(q, remaining)
-        g = poly_gcd(frob - x, remaining)
-        if g.degree > 0:
-            out.extend(_equal_degree_split(g, d, rng))
-            remaining = remaining // g
-            frob = frob % remaining
-    if remaining.degree > 0:
-        out.append(remaining)
-    return out
+    if rest.degree > 0:
+        yield rest.degree, rest
+
+
+def _factor_squarefree(f: FqPoly, rng: random.Random) -> list[FqPoly]:
+    """Irreducible factors of a monic squarefree f: distinct-degree, then equal-degree."""
+    return [h for d, g in _distinct_degree(f) for h in _equal_degree_split(g, d, rng)]
 
 
 def factor_xn_minus_1(n: int, field: "BaseField", seed: int = 0) -> FactoredPoly:
@@ -462,19 +478,6 @@ def factor_xn_minus_1(n: int, field: "BaseField", seed: int = 0) -> FactoredPoly
 # -- divisor lattice ----------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _divisor_from_exponents(fp: FactoredPoly, exps: tuple[int, ...]) -> FqPoly:
-    for i in range(len(exps) - 1, -1, -1):
-        if exps[i]:
-            parent = exps[:i] + (exps[i] - 1,) + exps[i + 1 :]
-            return _divisor_from_exponents(fp, parent) * fp.factors[i][0]
-    return FqPoly.one(fp.field)
-
-
-def _exponent_vectors(fp: FactoredPoly) -> Iterator[tuple[int, ...]]:
-    return itertools.product(*(range(e + 1) for _, e in fp.factors))
-
-
 def _check_divisor_count(fp: FactoredPoly, max_divisors: int) -> None:
     count = fp.divisor_count()
     if count > max_divisors:
@@ -483,30 +486,20 @@ def _check_divisor_count(fp: FactoredPoly, max_divisors: int) -> None:
         )
 
 
-@lru_cache(maxsize=None)
 def divisors_of_xn_minus_1(
     fp: FactoredPoly, max_divisors: int = DEFAULT_DIVISOR_BOUND
 ) -> tuple[FqPoly, ...]:
     """All monic divisors, ordered by (degree, lex); count is prod(e_i + 1)."""
     _check_divisor_count(fp, max_divisors)
-    divs = [_divisor_from_exponents(fp, exps) for exps in _exponent_vectors(fp)]
-    divs.sort(key=poly_sort_key)
-    return tuple(divs)
+    return fp._divisor_tuple
 
 
-@lru_cache(maxsize=None)
 def divisor_phi_table(
     fp: FactoredPoly, max_divisors: int = DEFAULT_DIVISOR_BOUND
 ) -> tuple[tuple[FqPoly, int], ...]:
     """(divisor, phi_q(divisor)) pairs in (degree, lex) order."""
     _check_divisor_count(fp, max_divisors)
-    rows = []
-    for exps in _exponent_vectors(fp):
-        part = tuple((g, e) for (g, _), e in zip(fp.factors, exps) if e)
-        phi = phi_q(FactoredPoly(fp.field, part))
-        rows.append((_divisor_from_exponents(fp, exps), phi))
-    rows.sort(key=lambda r: poly_sort_key(r[0]))
-    return tuple(rows)
+    return fp._phi_table
 
 
 # -- polynomial Euler totient -------------------------------------------------

@@ -16,6 +16,7 @@ from qorder import (
     build_tower,
     divisors_of_xn_minus_1,
     embed_base,
+    factor_xn_minus_1,
     fq_order,
     is_normal,
     linearized_eval,
@@ -153,6 +154,13 @@ class TestFqOrder:
         for t, fp in small_grid:
             ones = [v for v in range(t.size) if fq_order(FFElement(t, v), fp).degree == 0]
             assert ones == [0]
+
+    def test_factorization_of_another_xm_minus_1_rejected(self):
+        t = build_tower(2, 1, 4)
+        u = FFElement(t, 2)
+        for fp in (factor_xn_minus_1(2, t.base), factor_xn_minus_1(4, F3)):
+            with pytest.raises(FieldMismatchError):
+                fq_order(u, fp)
 
 
 class TestIsNormal:

@@ -230,6 +230,13 @@ class TestCharacterOrders:
             assert order != target
             assert order == monic_reciprocal(target)
 
+    def test_factorization_of_another_xm_minus_1_rejected(self):
+        t = build_tower(2, 1, 4)
+        chi = AdditiveCharacter(FFElement(t, 2))
+        for fp in (factor_xn_minus_1(2, t.base), factor_xn_minus_1(4, base_field(3))):
+            with pytest.raises(FieldMismatchError):
+                char_order_bruteforce(chi, fp)
+
     def test_order_divides_xn_minus_1(self, small_grid):
         for t, fp in small_grid:
             full = FqPoly.x_pow_minus_one(t.base, t.n)

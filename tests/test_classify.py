@@ -3,6 +3,7 @@ import pytest
 from qorder import (
     AdditiveCharacter,
     FFElement,
+    FieldMismatchError,
     FieldTower,
     FqPoly,
     MEYN_SWEEP_MAX_N,
@@ -56,6 +57,23 @@ class TestElementsByOrder:
         fp = factor_xn_minus_1(6, t.base)
         with pytest.raises(SizeExceededError):
             elements_by_order(t, fp, size_bound=32)
+
+
+@pytest.mark.parametrize(
+    "sweep",
+    [
+        elements_by_order,
+        characters_by_order,
+        reciprocal_order_sweep,
+        orders_coincide_iff_self_reciprocal,
+        classification_report,
+        find_primitive_normal,
+    ],
+)
+def test_sweeps_reject_factorization_of_another_xm_minus_1(sweep):
+    t = build_tower(2, 1, 4)
+    with pytest.raises(FieldMismatchError):
+        sweep(t, factor_xn_minus_1(2, t.base))
 
 
 class TestCharactersByOrder:

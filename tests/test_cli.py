@@ -245,6 +245,32 @@ class TestConfigPlumbing:
         assert f"error: {argv[2]} does not accept --mode" in err
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("factor", "--n", "3", "--check", "exhaustive"),
+            ("corollary2", "--check", "exhaustive", "--n-max", "3"),
+            ("pnbt", "--n", "2", "--check", "exhaustive", "--grid"),
+            ("orders", "--n", "2", "--check", "exhaustive", "--mode", "fast"),
+            ("char-order", "0,1", "--n", "2", "--mode", "fast", "--check", "exhaustive"),
+        ],
+    )
+    def test_check_rejected_where_ignored(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert f"error: {argv[0]} does not accept --check" in err
+        assert out == ""
+
+    def test_check_accepted_where_scanned(self, capsys):
+        for argv in (
+            ("--n", "2", "--check", "exhaustive", "char-order", "0,1", "--format", "json"),
+            ("--n", "2", "orders", "--mode", "oracle", "--check", "exhaustive", "--format", "json"),
+            ("--n", "2", "--check", "basis", "pnbt", "--format", "json"),
+        ):
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0
+            assert json.loads(out)["meta"]["check"] == argv[argv.index("--check") + 1]
+
     def test_default_mode_accepted_where_ignored(self, capsys):
         code, out, _ = run_cli(capsys, "--n", "2", "pnbt", "--mode", "both", "--format", "json")
         assert code == 0

@@ -179,12 +179,16 @@ class TestIrreducible:
         assert is_irreducible(P(F2, 1, 1, 1))
         assert not is_irreducible(P(F2, 1, 0, 1))  # (x+1)^2
         assert is_irreducible(P(F3, 1, 0, 1))  # -1 is a non-square mod 3
+        # distinct factors of one degree: the first distinct-degree part is all of f
+        assert not is_irreducible(P(F2, 1, 1, 0, 1) * P(F2, 1, 0, 1, 1))
+        assert not is_irreducible(P(F3, 1, 1) * P(F3, 2, 1))  # (x+1)(x+2) = x^2 + 2
+        assert not is_irreducible(P(F2, 1, 1, 1) * P(F2, 1, 1, 1))  # a square
 
     def test_constants_and_zero_not_irreducible(self):
         assert not is_irreducible(P(F2))
         assert not is_irreducible(P(F2, 1))
 
-    @pytest.mark.parametrize("field,max_d", [(F2, 4), (F3, 4), (F4, 2)])
+    @pytest.mark.parametrize("field,max_d", [(F2, 8), (F3, 5), (F4, 3), (F5, 3)])
     def test_against_trial_division_oracle(self, field, max_d):
         for d in range(1, max_d + 1):
             for f in monic_polys(field, d):
@@ -281,6 +285,19 @@ class TestDivisors:
         with pytest.raises(SizeExceededError):
             divisors_of_xn_minus_1(fp, 8)
 
+    def test_divisor_products_leave_equality_and_hash_alone(self):
+        fp = factor_xn_minus_1(12, F3)
+        fresh = factor_xn_minus_1(12, F3)
+        assert fp.divisor((0, 2, 1)) == P(F3, 2, 1) * P(F3, 2, 1) * P(F3, 1, 0, 1)
+        divisors_of_xn_minus_1(fp)
+        assert fp == fresh and hash(fp) == hash(fresh)
+        assert repr(fp) == repr(fresh)
+
+    def test_expand_at_high_multiplicity(self):
+        fp = factor_xn_minus_1(1024, F2)  # (x+1)^1024: a chain of 1024 products
+        assert fp.expand() == FqPoly.x_pow_minus_one(F2, 1024)
+        assert fp.divisor((512,)) == FqPoly.x_pow_minus_one(F2, 512)
+
 
 class TestPhiQ:
     def test_frozen_examples(self):
@@ -305,9 +322,12 @@ class TestPhiQ:
             assert sum(phi for _, phi in divisor_phi_table(fp)) == field.size**n
 
     def test_phi_table_matches_phi_q(self):
-        fp = factor_xn_minus_1(6, F3)
-        for f, phi in divisor_phi_table(fp):
-            assert phi == phi_q(f)
+        for field, n in [(F3, 6), (F2, 7), (F2, 12), (F4, 5), (F5, 4), (F3, 8)]:
+            fp = factor_xn_minus_1(n, field)
+            table = divisor_phi_table(fp)
+            assert [f for f, _ in table] == list(divisors_of_xn_minus_1(fp))
+            for f, phi in table:
+                assert phi == phi_q(f)
 
 
 class TestTextFormat:
