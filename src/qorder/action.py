@@ -27,13 +27,29 @@ def _check_coeff_field(g: FqPoly | FactoredPoly, tower: FieldTower) -> None:
         raise FieldMismatchError(f"not a factorization of x^{tower.n} - 1")
 
 
-def _apply_i(tower: FieldTower, coeffs: tuple[int, ...], xv: int) -> int:
-    """Integer-encoded action: sum of a_i * x^(q^i)."""
+def _action_sum(tower: FieldTower, coeffs: tuple[int, ...], xv: int) -> int:
     acc = 0
     for i, a in enumerate(coeffs):
         if a:
             acc = tower.add_i(acc, tower.mul_i(a, tower.frob_i(xv, i)))
     return acc
+
+
+def _apply_i(tower: FieldTower, coeffs: tuple[int, ...], xv: int) -> int:
+    """Integer-encoded action: sum of a_i * x^(q^i).
+
+    Past the log tables it is an F_p-matrix, built once per polynomial and kept
+    in the tower's action cache under coeffs (_annihilation_points keys its
+    values by (coeffs, check)).
+    """
+    if tower._exp is not None:
+        return _action_sum(tower, coeffs, xv)
+    cols = tower._action_cache.get(coeffs)
+    if cols is None:
+        cols = tower._action_cache[coeffs] = tower._linear(
+            lambda b: _action_sum(tower, coeffs, b)
+        )
+    return tower._combine(cols, xv)
 
 
 def apply_action(g: FqPoly, x: FFElement) -> FFElement:

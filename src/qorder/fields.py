@@ -14,16 +14,17 @@ every tower, and hence every report, reproducible across runs.
 Both levels share one arithmetic core, FieldTower: F_{q^n} is the tower
 over F_q, and F_q itself (for s > 1) is computed as the tower F_p[t]/(g0)
 over F_p.  Either level gets discrete-log tables (multiplication, inversion
-and Frobenius become table lookups) up to 2^14 elements; larger fields fall
-back to schoolbook coefficient-vector arithmetic.
+and Frobenius become table lookups) up to 2^14 elements.  Larger fields
+multiply coefficient vectors (shift-and-xor when q = 2) and apply Frobenius,
+which is F_p-linear, as a matrix built once per tower.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-from functools import lru_cache
-from typing import Iterator
+from functools import lru_cache, reduce
+from typing import Callable, Iterator
 
 from .errors import FieldMismatchError, NonPrimeError, ParseError, SizeExceededError
 from .integers import is_prime, prime_factors
@@ -34,7 +35,7 @@ DEFAULT_SIZE_BOUND = 1 << 24
 
 # Internal speed knob; it never affects results, only how they are computed.
 # build_log_tables gives any field up to this size, F_q or F_{q^n}, log tables;
-# larger ones keep coefficient-vector arithmetic.
+# larger ones multiply coefficient vectors and apply Frobenius as a matrix.
 _EXP_LOG_BOUND = 1 << 14
 
 
@@ -96,12 +97,6 @@ class BaseField:
             c, r = divmod(c, p)
             out.append(r)
         return tuple(out)
-
-    def from_digits(self, digits) -> int:
-        value = 0
-        for d in reversed(digits):
-            value = value * self.p + d
-        return value
 
     def lex_order(self) -> tuple[int, ...]:
         """All q coefficients sorted by their base-p digit tuples."""
@@ -169,10 +164,12 @@ class FieldTower:
         "base",
         "top_modulus",
         "_mod_vec",
+        "_mod_int",
         "_exp",
         "_log",
-        "_trace_basis_list",
+        "_trace_cols",
         "_trace_table",
+        "_frob_cols",
         "_action_cache",
     )
 
@@ -187,10 +184,12 @@ class FieldTower:
         self.size = self.q**self.n
         self.top_modulus = top_modulus
         self._mod_vec = top_modulus.coeffs[:-1]
+        self._mod_int = self.from_coeff_vec(top_modulus.coeffs)  # a bit mask if q = 2
         self._exp = None
         self._log = None
-        self._trace_basis_list = None
+        self._trace_cols = None
         self._trace_table = None
+        self._frob_cols = None
         self._action_cache = {}
 
     @property
@@ -262,6 +261,15 @@ class FieldTower:
         n = self.n
         if n == 1:
             return base.mul(x, y)
+        if self.q == 2:  # x and y are bit masks in F_2[u]: shift-xor, then reduce
+            prod = 0
+            while y:
+                if y & 1:
+                    prod ^= x
+                x, y = x << 1, y >> 1
+            while prod >> n:
+                prod ^= self._mod_int << (prod.bit_length() - 1 - n)
+            return prod
         a = self.coeff_vec(x)
         b = self.coeff_vec(y)
         prod = [0] * (2 * n - 1)
@@ -322,7 +330,7 @@ class FieldTower:
         m = self.size - 1
         if self._exp is not None:
             return self._exp[self._log[x] * pow(self.q, k, m) % m]
-        return self.pow_i(x, self.q**k)
+        return self._combine(self._frobenius_columns()[k * self.s], x)
 
     def frob_table(self, k: int):
         """Full Frobenius lookup list for small towers, else None."""
@@ -330,41 +338,75 @@ class FieldTower:
             return None
         return [self.frob_i(x, k) for x in range(self.size)]
 
-    # -- trace -----------------------------------------------------------------
+    # -- F_p-linear maps -----------------------------------------------------------
 
-    def _trace_basis(self) -> list[int]:
-        basis = self._trace_basis_list
-        if basis is None:
-            p = self.p
-            total = self.n * self.s
-            basis = []
-            for t in range(total):
-                val = p**t
-                acc = 0
-                for _ in range(total):
-                    acc = self.add_i(acc, val)
-                    val = self.pow_i(val, p)
-                basis.append(acc)  # lands in the prime field, i.e. in [0, p)
-            self._trace_basis_list = basis
-        return basis
+    def _linear(self, f: Callable[[int], int]) -> tuple[int, ...]:
+        """The columns of the F_p-linear map f: its images of the basis p^t, t < n*s.
 
-    def _trace_digits(self, x: int) -> int:
-        """Tr(x): the base-p digits of x dotted with the trace basis, mod p."""
-        p = self.p
-        acc = 0
-        for b in self._trace_basis():
+        For odd p each image's base-p digits are spread into fields of w bits, so
+        that _combine scales and adds a whole column with one int multiply-add; w
+        holds a sum of n*s digit products below p^2 without a carry between fields.
+        """
+        p, total = self.p, self.n * self.s
+        images = [f(p**t) for t in range(total)]
+        if p == 2:
+            return tuple(images)
+        w = (total * (p - 1) ** 2).bit_length()
+        return tuple(
+            sum(d << w * t for t, d in enumerate(itertools.chain(*self.coords(v))))
+            for v in images
+        )
+
+    def _combine(self, cols: tuple[int, ...], x: int) -> int:
+        """Apply the map with columns cols (from _linear) to x."""
+        acc, p = 0, self.p
+        if p == 2:  # the columns picked by the bits of x
+            while x:
+                low = x & -x
+                acc ^= cols[low.bit_length() - 1]
+                x ^= low
+            return acc
+        for col in cols:
             x, d = divmod(x, p)
-            if d and b:
-                acc += d * b
-        return acc % p
+            acc += d * col
+        w = (len(cols) * (p - 1) ** 2).bit_length()
+        mask = (1 << w) - 1
+        value = 0
+        for shift in range(w * (len(cols) - 1), -1, -w):
+            value = value * p + (acc >> shift & mask) % p
+        return value
+
+    def _frobenius_columns(self) -> list[tuple[int, ...]]:
+        """cols[k] is the matrix of the p-power Frobenius x -> x^(p^k), k < n*s."""
+        if self._frob_cols is None:
+            linear, combine = self._linear, self._combine
+            to_p = linear(lambda b: reduce(self._mul_vec, [b] * self.p))
+            cols = [linear(lambda b: b)]
+            while len(cols) < self.n * self.s:
+                prev = cols[-1]
+                cols.append(linear(lambda b: combine(to_p, combine(prev, b))))
+            self._frob_cols = cols
+        return self._frob_cols
+
+    # -- trace -------------------------------------------------------------------
+
+    def _trace_columns(self) -> tuple[int, ...]:
+        """Tr as an F_p-linear map: the sum of the n*s p-power conjugates."""
+        if self._trace_cols is None:
+            powers, add_i = self._frobenius_columns(), self.add_i
+            self._trace_cols = self._linear(
+                lambda b: reduce(add_i, (self._combine(m, b) for m in powers))
+            )
+        return self._trace_cols
 
     def trace_i(self, x: int) -> int:
         """Tr_{q^n/p}(x) = sum of the n*s p-power conjugates, as a residue mod p."""
         table = self._trace_table
         if table is None:
+            cols = self._trace_columns()
             if self.size > _EXP_LOG_BOUND:
-                return self._trace_digits(x)
-            table = self._trace_table = [self._trace_digits(v) for v in range(self.size)]
+                return self._combine(cols, x)
+            table = self._trace_table = [self._combine(cols, v) for v in range(self.size)]
         return table[x]
 
     def is_primitive_i(self, x: int) -> bool:

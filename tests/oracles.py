@@ -1,16 +1,18 @@
 """Independent brute-force oracles used to validate the library's fast paths.
 
-These deliberately avoid the code paths they check: base-field arithmetic is
-done on base-p digit lists, irreducibility is decided by exhaustive trial
+These deliberately avoid the code paths they check: field arithmetic at both
+levels is done on digit lists (base-p digits for F_q, F_q coefficients for
+F_{q^n}), Frobenius by repeated oracle multiplication, and the module action as
+the sum of those conjugates.  Irreducibility is decided by exhaustive trial
 products, factorization by smallest-divisor trial division, element orders by a
-full divisor scan, traces by summing conjugates with plain multiplication, and
-normality by Gaussian elimination on the conjugate matrix.
+full divisor scan, traces by summing conjugates, and normality by Gaussian
+elimination on the conjugate matrix.  Only the tower's moduli and parameters are
+read from the library.
 """
 
 import itertools
 
-from qorder import FFElement, FqPoly, apply_action, poly_sort_key
-from qorder.action import _apply_i
+from qorder import FFElement, FqPoly, poly_sort_key
 
 
 def all_polys(field, max_degree):
@@ -76,6 +78,60 @@ def oracle_base_mul(p, modulus, a, b):
     return _from_digits(p, [c % p for c in prod[:s]])
 
 
+def oracle_tower_mul(tower, a, b):
+    """a * b in F_q[u]/(h0): F_q coefficient lists multiplied with the base oracles,
+    then reduced mod the top modulus h0."""
+    p, s, g0 = tower.p, tower.s, tower.base_modulus
+    q, n = tower.q, tower.n
+    prod = [0] * (2 * n - 1)
+    bs = [(j, y) for j, y in enumerate(_digits(q, n, b)) if y]
+    for i, x in enumerate(_digits(q, n, a)):
+        for j, y in bs if x else ():
+            prod[i + j] = oracle_base_add(p, s, prod[i + j], oracle_base_mul(p, g0, x, y))
+    for i in range(2 * n - 2, n - 1, -1):
+        c = prod[i]
+        for j, m in enumerate(tower.top_modulus.coeffs) if c else ():
+            cm = oracle_base_neg(p, s, oracle_base_mul(p, g0, c, m))
+            prod[i - n + j] = oracle_base_add(p, s, prod[i - n + j], cm)
+    return _from_digits(q, prod[:n])
+
+
+def _oracle_qth_power(tower, v):
+    out = 1
+    for _ in range(tower.q):
+        out = oracle_tower_mul(tower, out, v)
+    return out
+
+
+def oracle_conjugates(tower, x, count=None):
+    """[x, x^q, ..., x^(q^(count-1))] by successive oracle q-th powers (count <= n)."""
+    conj = [x]
+    while len(conj) < (tower.n if count is None else count):
+        conj.append(_oracle_qth_power(tower, conj[-1]))
+    return conj
+
+
+def oracle_frob(tower, x, k):
+    """x^(q^k): the last of k mod n successive oracle q-th powers."""
+    return oracle_conjugates(tower, x, k % tower.n + 1)[-1]
+
+
+def _oracle_action_sum(tower, coeffs, conj):
+    total = tower.n * tower.s
+    acc = 0
+    for i, a in enumerate(coeffs):
+        if a:
+            term = oracle_tower_mul(tower, a, conj[i % tower.n])
+            acc = oracle_base_add(tower.p, total, acc, term)
+    return acc
+
+
+def oracle_apply_action(tower, coeffs, x):
+    """sum a_i * x^(q^i) over the coefficients of g, with oracle arithmetic only."""
+    conj = oracle_conjugates(tower, x, min(len(coeffs), tower.n))
+    return _oracle_action_sum(tower, coeffs, conj)
+
+
 def monic_polys(field, degree):
     for lower in itertools.product(coeff_lex_order(field), repeat=degree):
         yield FqPoly(field, (*lower, 1))
@@ -136,14 +192,15 @@ def oracle_unit_count(f):
 
 def oracle_fq_order(x, fp):
     """First divisor of x^n - 1 in (degree, lex) order that annihilates x."""
+    conj = oracle_conjugates(x.tower, x.value)
     for g in oracle_divisors(fp):
-        if apply_action(g, x).is_zero:
+        if _oracle_action_sum(x.tower, g.coeffs, conj) == 0:
             return g
     raise AssertionError("x^n - 1 annihilates everything")
 
 
 def oracle_trace(x):
-    """Sum of the p-power conjugates, computed with plain multiplications only."""
+    """Sum of the p-power conjugates, computed with oracle multiplications only."""
     tower = x.tower
     p = tower.p
     total = tower.n * tower.s
@@ -151,13 +208,13 @@ def oracle_trace(x):
     def pth_power(v):
         out = 1
         for _ in range(p):
-            out = tower._mul_vec(out, v)
+            out = oracle_tower_mul(tower, out, v)
         return out
 
     acc = 0
     val = x.value
     for _ in range(total):
-        acc = tower.add_i(acc, val)
+        acc = oracle_base_add(p, total, acc, val)
         val = pth_power(val)
     assert 0 <= acc < p, "trace must land in the prime field"
     return acc
@@ -166,13 +223,15 @@ def oracle_trace(x):
 def oracle_is_normal(x):
     """Conjugates x, x^q, ..., x^(q^(n-1)) form an F_q-basis (Gaussian elimination)."""
     tower = x.tower
-    base = tower.base
-    n = tower.n
-    rows = []
-    v = x.value
-    for _ in range(n):
-        rows.append(tower.coeff_vec(v))
-        v = tower.frob_i(v, 1)
+    p, s, g0, n = tower.p, tower.s, tower.base_modulus, tower.n
+
+    def mul(a, b):
+        return oracle_base_mul(p, g0, a, b)
+
+    def sub(a, b):
+        return oracle_base_add(p, s, a, oracle_base_neg(p, s, b))
+
+    rows = [_digits(tower.q, n, v) for v in oracle_conjugates(tower, x.value)]
     # rank over F_q
     rank = 0
     for col in range(n):
@@ -180,15 +239,12 @@ def oracle_is_normal(x):
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = base.inv(rows[rank][col])
-        rows[rank] = [base.mul(inv, c) for c in rows[rank]]
+        inv = next(b for b in range(1, tower.q) if mul(rows[rank][col], b) == 1)
+        rows[rank] = [mul(inv, c) for c in rows[rank]]
         for r in range(n):
             if r != rank and rows[r][col] != 0:
                 factor = rows[r][col]
-                rows[r] = [
-                    base.sub(a, base.mul(factor, b))
-                    for a, b in zip(rows[r], rows[rank])
-                ]
+                rows[r] = [sub(a, mul(factor, b)) for a, b in zip(rows[r], rows[rank])]
         rank += 1
     return rank == n
 
@@ -198,8 +254,8 @@ def oracle_char_annihilated(g, chi):
     tower = chi.tower
     lab = chi.label.value
     for v in range(tower.size):
-        acted = _apply_i(tower, g.coeffs, v)
-        product = tower._mul_vec(lab, acted)
+        acted = oracle_apply_action(tower, g.coeffs, v)
+        product = oracle_tower_mul(tower, lab, acted)
         if oracle_trace(FFElement(tower, product)) != 0:
             return False
     return True

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qorder import (
+    AdditiveCharacter,
     DegreeTooLargeError,
     FFElement,
     FqPoly,
@@ -14,6 +15,8 @@ from qorder import (
     apply_action,
     base_field,
     build_tower,
+    char_order_bruteforce,
+    char_order_fast,
     divisors_of_xn_minus_1,
     embed_base,
     factor_xn_minus_1,
@@ -27,7 +30,7 @@ from qorder import (
 )
 from qorder.errors import FieldMismatchError
 
-from oracles import oracle_fq_order, oracle_is_normal
+from oracles import oracle_apply_action, oracle_fq_order, oracle_is_normal
 
 F2 = base_field(2)
 F3 = base_field(3)
@@ -257,3 +260,71 @@ def test_adjoint_power_identity_random_f625(xv, data):
     lhs = adjoint_action(g, x) ** (q**m)
     rhs = embed_base(g.coeffs[0], t) * apply_action(monic_reciprocal(g), x)
     assert lhs == rhs
+
+
+# Towers past _EXP_LOG_BOUND, where the action is applied as a cached F_p-matrix
+PAST_TABLE_BOUND = [(2, 1, 15), (2, 1, 16), (2, 2, 8), (3, 1, 10), (5, 1, 7), (3, 2, 5)]
+
+
+def random_poly(rng, field, degree, *, monic=False, unit_constant=False):
+    coeffs = [rng.randrange(field.size) for _ in range(degree + 1)]
+    if monic:
+        coeffs[-1] = 1
+    elif coeffs[-1] == 0:
+        coeffs[-1] = rng.randrange(1, field.size)
+    if unit_constant and coeffs[0] == 0:
+        coeffs[0] = rng.randrange(1, field.size)
+    return FqPoly(field, coeffs)
+
+
+@pytest.mark.parametrize("p,s,n", PAST_TABLE_BOUND)
+class TestActionPastTableBound:
+    @staticmethod
+    def setup_case(p, s, n):
+        """The tower, its factorization, a seeded rng and ten labels: six random
+        ones and four of the form g . y for a random divisor g, to reach lower orders."""
+        t = build_tower(p, s, n)
+        fp = factor_xn_minus_1(n, t.base)
+        rng = random.Random(p * 1000 + s * 100 + n)
+        labels = [FFElement(t, rng.randrange(t.size)) for _ in range(6)]
+        divisors = divisors_of_xn_minus_1(fp)
+        for _ in range(4):
+            y = FFElement(t, rng.randrange(t.size))
+            labels.append(apply_action(rng.choice(divisors), y))
+        return t, fp, rng, labels
+
+    def test_apply_action_matches_oracle(self, p, s, n):
+        t, fp, rng, labels = self.setup_case(p, s, n)
+        xn1 = FqPoly.x_pow_minus_one(t.base, n)
+        for x in labels:
+            const = FqPoly(t.base, (rng.randrange(1, t.q),))
+            g = random_poly(rng, t.base, rng.randrange(n + 1))
+            h = random_poly(rng, t.base, rng.randrange(1, n + 1), monic=True)
+            for poly in (const, g, h):
+                expected = oracle_apply_action(t, poly.coeffs, x.value)
+                assert apply_action(poly, x).value == expected, (str(poly), x.value)
+            assert linearized_eval(h, x).value == oracle_apply_action(t, h.coeffs, x.value)
+            assert apply_action(xn1, x).is_zero
+            assert oracle_apply_action(t, xn1.coeffs, x.value) == 0
+
+    def test_adjoint_identities(self, p, s, n):
+        # Tr(a * (g . x)) = Tr(adjoint(g, a) * x) and adjoint(g, x)^(q^deg g) = g(0) * (g* . x)
+        t, fp, rng, labels = self.setup_case(p, s, n)
+        for a in labels:
+            x = FFElement(t, rng.randrange(t.size))
+            g = random_poly(rng, t.base, rng.randrange(n), monic=True, unit_constant=True)
+            lhs = trace_to_prime(a * apply_action(g, x))
+            assert lhs == trace_to_prime(adjoint_action(g, a) * x)
+            power = adjoint_action(g, a) ** (t.q**g.degree)
+            assert power == embed_base(g.coeffs[0], t) * apply_action(monic_reciprocal(g), a)
+
+    def test_fq_order_matches_oracle(self, p, s, n):
+        t, fp, rng, labels = self.setup_case(p, s, n)
+        for x in [FFElement(t, 0), FFElement(t, 1), *labels]:
+            assert fq_order(x, fp) == oracle_fq_order(x, fp), x.value
+
+    def test_character_order_routes_agree(self, p, s, n):
+        t, fp, rng, labels = self.setup_case(p, s, n)
+        for label in labels:
+            chi = AdditiveCharacter(label)
+            assert char_order_bruteforce(chi, fp) == char_order_fast(chi, fp), label.value

@@ -296,6 +296,18 @@ def test_sweeps_on_coefficient_vector_path(p, s, n):
     assert t._exp is None
 
 
+def test_fast_report_past_table_bound():
+    # F_{2^15} lies past _EXP_LOG_BOUND: a full fq_order sweep on the
+    # coefficient-vector path, with Frobenius and the action as matrices
+    t = build_tower(2, 1, 15)
+    fp = factor_xn_minus_1(15, t.base)
+    rep = classification_report(t, fp, mode="fast")
+    assert t._exp is None
+    assert sum(r.element_count for r in rep.rows) == 2**15
+    for row in rep.rows:
+        assert row.element_count == row.phi == phi_q(row.divisor)
+
+
 def test_verification_grid_shape():
     assert len(VERIFICATION_GRID) == 34
     assert VERIFICATION_GRID[0] == (2, 1, 1)

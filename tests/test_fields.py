@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,9 +28,15 @@ from oracles import (
     oracle_base_add,
     oracle_base_mul,
     oracle_base_neg,
+    oracle_frob,
     oracle_is_irreducible,
+    oracle_tower_mul,
     oracle_trace,
 )
+
+# Towers past _EXP_LOG_BOUND, which compute with coefficient vectors and
+# Frobenius matrices: q = 2 (shift-xor multiply), q = 4, odd p, odd p with s = 2.
+PAST_TABLE_BOUND = [(2, 1, 15), (2, 1, 16), (2, 2, 8), (3, 1, 10), (5, 1, 7), (3, 2, 5)]
 
 
 class TestCanonicalModuli:
@@ -408,3 +415,40 @@ class TestBaseFieldArithmetic:
         # t^2 + 1 = (t + 1)^2 over F_2 is reducible: no field, so no BaseField
         with pytest.raises(ValueError, match="irreducible"):
             BaseField(2, 2, (1, 0, 1))
+
+
+class TestKernelPastTableBound:
+    """Frobenius and multiplication against the digit-list oracles, on towers
+    past the table bound and on F_{2^13}, a q = 2 tower on the log tables."""
+
+    @staticmethod
+    def points(t, seed):
+        rng = random.Random(seed)
+        return [0, 1, t.q, *(rng.randrange(t.size) for _ in range(3))]  # t.q encodes u
+
+    @pytest.mark.parametrize("p,s,n", [*PAST_TABLE_BOUND, (2, 1, 13)])
+    def test_arithmetic_path(self, p, s, n):
+        t = build_tower(p, s, n)
+        past = t.size > _EXP_LOG_BOUND
+        assert (t._exp is None) == past
+        assert (t.frob_table(1) is None) == past
+
+    @pytest.mark.parametrize("p,s,n", [*PAST_TABLE_BOUND, (2, 1, 13)])
+    def test_frobenius_matches_oracle(self, p, s, n):
+        t = build_tower(p, s, n)
+        for x in self.points(t, seed=n):
+            for k in range(-1, n + 2):
+                assert t.frob_i(x, k) == oracle_frob(t, x, k), (x, k)
+
+    @pytest.mark.parametrize("p,s,n", [*PAST_TABLE_BOUND, (2, 1, 13)])
+    def test_multiplication_matches_oracle(self, p, s, n):
+        # q = 2 towers take the shift-xor branch of _mul_vec, the others the
+        # schoolbook one; on F_{2^13}, mul_i reads log tables built through _mul_vec
+        t = build_tower(p, s, n)
+        rng = random.Random(p * 1000 + s * 100 + n)
+        pairs = [(a, b) for a in self.points(t, seed=n) for b in (1, t.q, t.size - 1)]
+        pairs += [(rng.randrange(t.size), rng.randrange(t.size)) for _ in range(30)]
+        for a, b in pairs:
+            expected = oracle_tower_mul(t, a, b)
+            assert t._mul_vec(a, b) == expected, (a, b)
+            assert t.mul_i(a, b) == expected, (a, b)

@@ -36,6 +36,22 @@ GOLDEN = [
         ("--p", "5", "--s", "2", "--n", "2", "char-order", "3,7"),
         "12d3bafe7e4348b7a2f13a138834596277128e726403494fb95fed250024ad51",
     ),
+    # Past the 2^14 table bound, on the coefficient-vector path.  Recorded from
+    # a checkout of the commit before Frobenius and the action became matrices
+    # there, when Frobenius was still a square-and-multiply.  The labels' element
+    # orders are x^8+x^4+x^2+x+1 (not self-reciprocal), x^4+2x^3+x^2+2x+1 and (x+1)^6.
+    (
+        ("--p", "2", "--n", "15", "char-order", "0,0,1,0,1,0,0,0,0,0,0,1,1,1,1"),
+        "a06b7352cb68a3d4f936ad9143d99170a9550808264883be94a598b336ec6dcf",
+    ),
+    (
+        ("--p", "3", "--n", "10", "char-order", "0,2,0,2,0,1"),
+        "0fc333e8a7488c6419728610aeaabb49d8d58622436f38ef81ec4d424d50282a",
+    ),
+    (
+        ("--p", "2", "--s", "2", "--n", "8", "char-order", "1,1,0,0,2,2,1,2"),
+        "c4260143bafc5d5d19d3c6b64a453a300694cac738d07fba464659454eb8b59c",
+    ),
 ]
 
 
