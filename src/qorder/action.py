@@ -38,12 +38,10 @@ def _action_sum(tower: FieldTower, coeffs: tuple[int, ...], xv: int) -> int:
 def _apply_i(tower: FieldTower, coeffs: tuple[int, ...], xv: int) -> int:
     """Integer-encoded action: sum of a_i * x^(q^i).
 
-    Past the log tables it is an F_p-matrix, built once per polynomial and kept
-    in the tower's action cache under coeffs (_annihilation_points keys its
-    values by (coeffs, check)).
+    On every tower it is an F_p-matrix, built once per polynomial by
+    _action_sum and kept in the tower's action cache under coeffs
+    (_annihilation_points keys its values by (coeffs, check)).
     """
-    if tower._exp is not None:
-        return _action_sum(tower, coeffs, xv)
     cols = tower._action_cache.get(coeffs)
     if cols is None:
         cols = tower._action_cache[coeffs] = tower._linear(

@@ -474,7 +474,12 @@ def _resolve_config(args: argparse.Namespace) -> CommandConfig:
     fast = config.mode == "fast" and config.command in ("orders", "char-order")
     if config.check != "basis" and (config.command in _CHECKLESS_COMMANDS or fast):
         raise ParseError(f"{config.command} does not accept --check")
+    if config.n is not None and (config.grid or config.command == "corollary2"):
+        hint = "; use --n-max" if config.command == "corollary2" else " with --grid"
+        raise ParseError(f"{config.command} does not accept --n{hint}")
     if config.command == "corollary2":
+        if args.n_max < 1:
+            raise ParseError(f"--n-max must be at least 1, got {args.n_max}")
         config.extra["n_max"] = args.n_max
     return config
 

@@ -13,10 +13,11 @@ every tower, and hence every report, reproducible across runs.
 
 Both levels share one arithmetic core, FieldTower: F_{q^n} is the tower
 over F_q, and F_q itself (for s > 1) is computed as the tower F_p[t]/(g0)
-over F_p.  Either level gets discrete-log tables (multiplication, inversion
-and Frobenius become table lookups) up to 2^14 elements.  Larger fields
-multiply coefficient vectors (shift-and-xor when q = 2) and apply Frobenius,
-which is F_p-linear, as a matrix built once per tower.
+over F_p.  Either level gets discrete-log tables for multiplication, powers
+and inversion up to 2^14 elements; larger fields multiply coefficient vectors
+(shift-and-xor when q = 2).  F_p-linear maps (Frobenius, the trace, and the
+module action in action.py) are matrices on every tower, built once and
+applied by _combine.
 """
 
 from __future__ import annotations
@@ -34,8 +35,9 @@ from .poly import FqPoly, is_irreducible
 DEFAULT_SIZE_BOUND = 1 << 24
 
 # Internal speed knob; it never affects results, only how they are computed.
-# build_log_tables gives any field up to this size, F_q or F_{q^n}, log tables;
-# larger ones multiply coefficient vectors and apply Frobenius as a matrix.
+# build_log_tables gives any field up to this size, F_q or F_{q^n}, log tables
+# for mul_i, pow_i and inv_i; larger ones multiply coefficient vectors.  It does
+# not decide how linear maps are applied: those are matrices on every tower.
 _EXP_LOG_BOUND = 1 << 14
 
 
@@ -323,13 +325,10 @@ class FieldTower:
         return self.pow_i(x, m - 1)
 
     def frob_i(self, x: int, k: int = 1) -> int:
-        """The k-fold q-power Frobenius x^(q^k)."""
+        """The k-fold q-power Frobenius x^(q^k): entry k*s of the p-power matrices."""
         k %= self.n
         if k == 0 or x < 2:
             return x
-        m = self.size - 1
-        if self._exp is not None:
-            return self._exp[self._log[x] * pow(self.q, k, m) % m]
         return self._combine(self._frobenius_columns()[k * self.s], x)
 
     def frob_table(self, k: int):

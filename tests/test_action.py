@@ -264,6 +264,9 @@ def test_adjoint_power_identity_random_f625(xv, data):
 
 # Towers past _EXP_LOG_BOUND, where the action is applied as a cached F_p-matrix
 PAST_TABLE_BOUND = [(2, 1, 15), (2, 1, 16), (2, 2, 8), (3, 1, 10), (5, 1, 7), (3, 2, 5)]
+# Real-size towers on the log-table path, where the action is the same matrix:
+# odd p packs digits in _combine, and s > 1 reads Frobenius entry k*s
+TABLE_PATH = [(2, 1, 13), (2, 2, 7), (3, 1, 8), (3, 2, 4)]
 
 
 def random_poly(rng, field, degree, *, monic=False, unit_constant=False):
@@ -277,7 +280,7 @@ def random_poly(rng, field, degree, *, monic=False, unit_constant=False):
     return FqPoly(field, coeffs)
 
 
-@pytest.mark.parametrize("p,s,n", PAST_TABLE_BOUND)
+@pytest.mark.parametrize("p,s,n", [*PAST_TABLE_BOUND, *TABLE_PATH])
 class TestActionPastTableBound:
     @staticmethod
     def setup_case(p, s, n):

@@ -279,8 +279,9 @@ class TestClassificationReport:
 
 @pytest.mark.parametrize("p,s,n", [(2, 1, 6), (3, 1, 4), (2, 2, 3), (2, 1, 8)])
 def test_sweeps_on_coefficient_vector_path(p, s, n):
-    # a tower built without build_log_tables runs every sweep on schoolbook
-    # coefficient-vector arithmetic, which the table-backed grid never reaches
+    # a tower built without build_log_tables runs every sweep on coefficient-vector
+    # multiplication (shift-and-xor for q = 2, schoolbook otherwise), which the
+    # table-backed grid never reaches
     base = base_field(p, s)
     t = FieldTower(base, smallest_irreducible(base, n))
     fp = factor_xn_minus_1(n, base)
@@ -293,6 +294,18 @@ def test_sweeps_on_coefficient_vector_path(p, s, n):
         assert sum(r.element_count for r in rep.rows) == t.size
         for row in rep.rows:
             assert row.element_count == row.char_count == row.phi == phi_q(row.divisor)
+    assert t._exp is None
+
+
+@pytest.mark.parametrize("p,s,n", VERIFICATION_GRID)
+def test_acceptance_sweep_on_coefficient_vector_path(p, s, n):
+    # the acceptance sweep of criteria 1 and 6 on the grid, with the top level
+    # built without build_log_tables so that it multiplies coefficient vectors
+    base = base_field(p, s)
+    t = FieldTower(base, smallest_irreducible(base, n))
+    fp = factor_xn_minus_1(n, base)
+    assert reciprocal_order_sweep(t, fp).passed
+    assert orders_coincide_iff_self_reciprocal(t, fp).holds
     assert t._exp is None
 
 

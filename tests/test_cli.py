@@ -261,6 +261,30 @@ class TestConfigPlumbing:
         assert f"error: {argv[0]} does not accept --check" in err
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("corollary2", "--n", "5"),
+            ("corollary2", "--n", "3", "--grid", "--n-max", "2"),
+            ("verify-theorem", "--n", "2", "--grid"),
+            ("corollary1", "--grid", "--n", "2"),
+            ("pnbt", "--n", "2", "--grid"),
+        ],
+    )
+    def test_n_rejected_where_ignored(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert f"error: {argv[0]} does not accept --n" in err
+        assert ("--n-max" in err) == (argv[0] == "corollary2")
+        assert out == ""
+
+    @pytest.mark.parametrize("n_max", ["0", "-3"])
+    def test_n_max_below_one_rejected(self, capsys, n_max):
+        code, out, err = run_cli(capsys, "corollary2", "--n-max", n_max)
+        assert code == 2
+        assert "--n-max must be at least 1" in err
+        assert out == ""
+
     def test_check_accepted_where_scanned(self, capsys):
         for argv in (
             ("--n", "2", "--check", "exhaustive", "char-order", "0,1", "--format", "json"),
