@@ -3,7 +3,7 @@
 Every command emits a ReportDocument (config echo, flat rows, counterexamples,
 verdict) rendered as text, json, or csv.  Output is exact and deterministic:
 identical configuration yields byte-identical output, and the process exit
-code is 0 exactly when the verdict is "pass".
+code is 0 exactly when the verdict is "pass" and the report was written.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from . import __version__
 from .characters import AdditiveCharacter, char_order_bruteforce, char_order_fast
 from .classify import (
+    MEYN_SWEEP_MAX_N,
     MEYN_SWEEP_PRIME_POWERS,
     VERIFICATION_GRID,
     classification_report,
@@ -300,7 +301,7 @@ def cmd_corollary1(config: CommandConfig) -> ReportDocument:
 
 
 def cmd_corollary2(config: CommandConfig) -> ReportDocument:
-    n_max = config.extra.get("n_max", 20)
+    n_max = config.extra.get("n_max", MEYN_SWEEP_MAX_N)
     q_values = (
         MEYN_SWEEP_PRIME_POWERS if config.grid else (config.p**config.s,)
     )
@@ -441,7 +442,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=help_text)
         _add_common(sp, suppress=True)
         if name == "corollary2":
-            sp.add_argument("--n-max", type=int, default=20, help="check n = 1..n_max")
+            sp.add_argument(
+                "--n-max", type=int, default=MEYN_SWEEP_MAX_N, help="check n = 1..n_max"
+            )
         if name == "char-order":
             sp.add_argument("label", help="element tokens, e.g. '0,1'")
     return parser
@@ -481,6 +484,12 @@ def _resolve_config(args: argparse.Namespace) -> CommandConfig:
         if args.n_max < 1:
             raise ParseError(f"--n-max must be at least 1, got {args.n_max}")
         config.extra["n_max"] = args.n_max
+    default = CommandConfig(config.command)
+    for flag, value, unset in (("--p", config.p, default.p), ("--s", config.s, default.s)):
+        if config.grid and value != unset:
+            raise ParseError(f"{config.command} does not accept {flag} with --grid")
+    if config.command == "corollary2" and config.size_bound != default.size_bound:
+        raise ParseError("corollary2 does not accept --size-bound")
     return config
 
 
@@ -510,7 +519,16 @@ def main(argv=None) -> int:
     except (QOrderError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(_RENDERERS[config.output_format](doc))
+    try:
+        print(_RENDERERS[config.output_format](doc))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (`| head`): exit as a SIGPIPE-killed tool
+        # would, with stdout on devnull so the flush at shutdown cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     return 0 if doc.verdict == "pass" else 1
 
 

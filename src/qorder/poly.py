@@ -6,10 +6,11 @@ with no trailing zeros; the zero polynomial has an empty tuple and degree
 coefficient field F_q (little-endian base-p digits, see qorder.fields).
 
 Beyond ring arithmetic this module provides the monic reciprocal
-f*(x) = f(0)^-1 x^deg(f) f(1/x), one distinct-degree loop that serves both
-the Ben-Or irreducibility test and the complete factorization of x^n - 1,
-the divisor lattice of a factored polynomial (multiplied out once and kept
-on the FactoredPoly itself), and the polynomial Euler totient phi_q.
+f*(x) = f(0)^-1 x^deg(f) f(1/x), one distinct-degree loop that serves the
+Ben-Or irreducibility test, the complete factorization of x^n - 1 and the
+polynomial Euler totient phi_q of any nonzero polynomial, and the divisor
+lattice of a factored polynomial (multiplied out once and kept on the
+FactoredPoly itself).
 """
 
 from __future__ import annotations
@@ -94,14 +95,6 @@ class FqPoly:
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
-    @property
-    def constant_term(self) -> int:
-        return self.coeffs[0] if self.coeffs else 0
-
-    @property
-    def leading_coefficient(self) -> int:
-        return self.coeffs[-1] if self.coeffs else 0
-
     def evaluate(self, a: int) -> int:
         """Value at the field point a (Horner)."""
         field = self.field
@@ -178,10 +171,6 @@ class FqPoly:
 
     def __mod__(self, other: "FqPoly") -> "FqPoly":
         return divmod(self, other)[1]
-
-    def divides(self, other: "FqPoly") -> bool:
-        """True if self divides other exactly (self nonzero)."""
-        return (other % self).is_zero
 
     def powmod(self, exponent: int, modulus: "FqPoly") -> "FqPoly":
         """self^exponent mod modulus, by binary exponentiation."""
@@ -329,9 +318,6 @@ def is_irreducible(f: FqPoly) -> bool:
     d = f.degree
     if d <= 0:
         return False
-    if f.coeffs[0] == 0:
-        # divisible by x: irreducible only if it IS (a scalar multiple of) x
-        return d == 1
     return next(_distinct_degree(f.monic()))[0] == d
 
 
@@ -427,9 +413,10 @@ def _equal_degree_split(f: FqPoly, d: int, rng: random.Random) -> list[FqPoly]:
 def _distinct_degree(f: FqPoly) -> Iterator[tuple[int, FqPoly]]:
     """Distinct-degree parts (d, product of f's degree-d irreducible factors).
 
-    f is monic.  Yields the nontrivial gcd(x^(q^d) - x, rest) for d = 1, 2, ...
-    while 2d <= deg rest, dividing each out of the rest, and then the rest of
-    positive degree, which is irreducible if f is squarefree, as (deg rest, rest).
+    f is monic, not necessarily squarefree.  Yields the nontrivial
+    gcd(x^(q^d) - x, rest) for d = 1, 2, ... while 2d <= deg rest, dividing
+    every copy of it out of the rest, and then the irreducible rest of positive
+    degree as (deg rest, rest).  Each part is squarefree.
     """
     field = f.field
     q = field.size
@@ -442,7 +429,8 @@ def _distinct_degree(f: FqPoly) -> Iterator[tuple[int, FqPoly]]:
         part = poly_gcd(frob - x, rest)
         if part.degree > 0:
             yield d, part
-            rest = rest // part
+            while (common := poly_gcd(rest, part)).degree > 0:
+                rest = rest // common
             frob = frob % rest
         d += 1
     if rest.degree > 0:
@@ -505,36 +493,14 @@ def divisor_phi_table(
 # -- polynomial Euler totient -------------------------------------------------
 
 
-def _trial_factorization(f: FqPoly) -> FactoredPoly:
-    """Factor a monic polynomial by exhaustive trial division (desk scale)."""
-    field = f.field
-    rem = f
-    found: list[tuple[FqPoly, int]] = []
-    d = 1
-    while 2 * d <= rem.degree:
-        for cand in monic_polynomials(field, d):
-            if rem.degree < d:
-                break
-            e = 0
-            while cand.divides(rem):
-                rem = rem // cand
-                e += 1
-            if e:
-                found.append((cand, e))
-        d += 1
-    if rem.degree > 0:
-        found.append((rem, 1))
-    found.sort(key=lambda pair: poly_sort_key(pair[0]))
-    return FactoredPoly(field, tuple(found))
-
-
 def phi_q(f: FqPoly | FactoredPoly) -> int:
     """The polynomial Euler totient: the number of units of F_q[x]/(f).
 
     Multiplicative over the factorization, with
-    phi_q(P^e) = q^((e-1) deg P) * (q^deg P - 1) and phi_q(1) = 1.
-    Accepts a factored polynomial directly; a plain polynomial is factored
-    by trial division first (nonzero input is normalized to monic).
+    phi_q(P^e) = q^((e-1) deg P) * (q^deg P - 1) and phi_q(1) = 1.  So it
+    depends only on the distinct irreducible factors: a plain nonzero
+    polynomial needs only the distinct-degree parts of its monic associate,
+    each the product of its distinct degree-d irreducibles.
     """
     if isinstance(f, FactoredPoly):
         q = f.field.size
@@ -545,4 +511,7 @@ def phi_q(f: FqPoly | FactoredPoly) -> int:
         return out
     if f.is_zero:
         raise ValueError("phi_q is undefined for the zero polynomial")
-    return phi_q(_trial_factorization(f.monic()))
+    q = f.field.size
+    parts = list(_distinct_degree(f.monic()))
+    repeated = f.degree - sum(part.degree for _, part in parts)
+    return q**repeated * prod((q**d - 1) ** (part.degree // d) for d, part in parts)

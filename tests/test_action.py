@@ -1,5 +1,6 @@
 import itertools
 import random
+from functools import cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +9,7 @@ from qorder import (
     AdditiveCharacter,
     DegreeTooLargeError,
     FFElement,
+    FieldTower,
     FqPoly,
     NotMonicError,
     ZeroConstantTermError,
@@ -26,8 +28,10 @@ from qorder import (
     monic_reciprocal,
     order_record,
     phi_q,
+    smallest_irreducible,
     trace_to_prime,
 )
+from qorder.classify import VERIFICATION_GRID
 from qorder.errors import FieldMismatchError
 
 from oracles import oracle_apply_action, oracle_fq_order, oracle_is_normal
@@ -331,3 +335,33 @@ class TestActionPastTableBound:
         for label in labels:
             chi = AdditiveCharacter(label)
             assert char_order_bruteforce(chi, fp) == char_order_fast(chi, fp), label.value
+
+
+# Small towers off VERIFICATION_GRID: large p, s up to 4, and n = 11 over F_2
+OFF_GRID = [(11, 1, 2), (2, 4, 2), (3, 3, 2), (5, 2, 2), (2, 1, 11), (7, 1, 4), (2, 2, 6)]
+
+
+@cache
+def towers_on_both_paths(p, s, n):
+    """The log-table tower, the same tower multiplying coefficient vectors, and
+    the factorization of x^n - 1."""
+    base = base_field(p, s)
+    vectors = FieldTower(base, smallest_irreducible(base, n))
+    return build_tower(p, s, n), vectors, factor_xn_minus_1(n, base)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(OFF_GRID), st.data())
+def test_order_routes_on_towers_off_the_grid(psn, data):
+    assert psn not in VERIFICATION_GRID
+    tables, vectors, fp = towers_on_both_paths(*psn)
+    assert tables._exp is not None and vectors._exp is None
+    value = data.draw(st.integers(0, tables.size - 1), label="value")
+    divisors = divisors_of_xn_minus_1(fp)
+    g = divisors[data.draw(st.integers(0, len(divisors) - 1), label="divisor")]
+    for t in (tables, vectors):
+        # g . y reaches orders dividing (x^n - 1) / g, below those of random labels
+        for x in (FFElement(t, value), apply_action(g, FFElement(t, value))):
+            assert fq_order(x, fp) == oracle_fq_order(x, fp), (psn, x.value)
+            chi = AdditiveCharacter(x)
+            assert char_order_bruteforce(chi, fp) == char_order_fast(chi, fp), (psn, x.value)

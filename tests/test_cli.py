@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from qorder.classify import MEYN_SWEEP_MAX_N
 from qorder.cli import main
 from qorder.errors import PrimitiveNormalNotFoundError
 
@@ -285,6 +286,44 @@ class TestConfigPlumbing:
         assert "--n-max must be at least 1" in err
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("corollary2", "--grid", "--p", "3", "--n-max", "1"),
+            ("corollary2", "--grid", "--s", "2", "--n-max", "1"),
+            ("verify-theorem", "--grid", "--p", "3"),
+            ("pnbt", "--grid", "--p", "5"),
+            ("corollary1", "--grid", "--s", "2"),
+        ],
+    )
+    def test_p_s_rejected_with_grid(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert f"error: {argv[0]} does not accept {argv[2]} with --grid" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("extra", [(), ("--grid",)])
+    def test_size_bound_rejected_on_corollary2(self, capsys, extra):
+        code, out, err = run_cli(capsys, "corollary2", "--size-bound", "5", "--n-max", "1", *extra)
+        assert code == 2
+        assert "error: corollary2 does not accept --size-bound" in err
+        assert out == ""
+
+    def test_default_p_s_size_bound_accepted(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "--p", "2", "--s", "1", "--size-bound", str(1 << 24),
+            "corollary2", "--grid", "--n-max", "1", "--format", "json",
+        )
+        assert code == 0
+        meta = json.loads(out)["meta"]
+        assert (meta["p"], meta["s"], meta["n_max"]) == (2, 1, 1)
+        code, out, _ = run_cli(capsys, "--p", "3", "--s", "2", "corollary2", "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["meta"]["n_max"] == MEYN_SWEEP_MAX_N
+        assert [r["n"] for r in doc["rows"]] == list(range(1, MEYN_SWEEP_MAX_N + 1))
+        assert {r["q"] for r in doc["rows"]} == {9}
+
     def test_check_accepted_where_scanned(self, capsys):
         for argv in (
             ("--n", "2", "--check", "exhaustive", "char-order", "0,1", "--format", "json"),
@@ -365,6 +404,19 @@ class TestReportPlumbing:
         assert out == ""
         assert err.startswith("internal error:") and err.count("\n") == 1
         assert str(exc) in err
+
+
+def test_closed_stdout_exits_141():
+    # the reader is gone before the report is written, as with `| head -1`
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qorder", "--p", "2", "--n", "2", "verify-theorem"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait() == 141
+    assert err == b""
 
 
 def test_module_invocation_smoke():

@@ -1,3 +1,7 @@
+from collections import Counter
+from functools import cache
+from math import prod
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,8 +22,10 @@ from qorder import (
     poly_gcd,
     poly_sort_key,
     poly_tokens,
+    smallest_irreducible,
 )
 from qorder.errors import ParseError
+from qorder.poly import _distinct_degree
 
 from oracles import monic_polys, oracle_divisors, oracle_factor, oracle_is_irreducible, oracle_unit_count
 
@@ -54,6 +60,30 @@ def any_poly(draw, field=None, max_degree=6):
     fld = field if field is not None else draw(fields_st)
     coeffs = draw(st.lists(st.integers(0, fld.size - 1), max_size=max_degree + 1))
     return FqPoly(fld, coeffs)
+
+
+@cache
+def oracle_irreducibles(field, max_degree=3):
+    return [
+        f
+        for d in range(1, max_degree + 1)
+        for f in monic_polys(field, d)
+        if oracle_is_irreducible(f)
+    ]
+
+
+@st.composite
+def irreducible_powers(draw, max_degree=60):
+    """A nonzero scalar times up to three distinct irreducibles of degree <= 3,
+    each raised to a multiplicity in 1..p^2 + 1, of total degree <= max_degree."""
+    fld = draw(fields_st)
+    f = FqPoly(fld, (draw(st.integers(1, fld.size - 1)),))
+    pool = oracle_irreducibles(fld)
+    for g in draw(st.lists(st.sampled_from(pool), max_size=3, unique=True)):
+        room = (max_degree - f.degree) // g.degree
+        if room:
+            f = prod([g] * draw(st.integers(1, min(fld.p**2 + 1, room))), start=f)
+    return f
 
 
 # -- basic arithmetic ----------------------------------------------------------
@@ -320,6 +350,24 @@ class TestPhiQ:
         for field, n in [(F2, 6), (F2, 10), (F3, 6), (F4, 4), (F5, 4)]:
             fp = factor_xn_minus_1(n, field)
             assert sum(phi for _, phi in divisor_phi_table(fp)) == field.size**n
+
+    @settings(max_examples=120, deadline=None)
+    @given(irreducible_powers())
+    def test_irreducible_powers_against_oracle_factor(self, f):
+        # phi_q and the distinct-degree parts of a non-squarefree f, against the
+        # multiplicative formula over the oracle's factorization with multiplicities
+        q = f.field.size
+        counts = Counter(oracle_factor(f.monic()))
+        assert phi_q(f) == prod(
+            q ** ((e - 1) * g.degree) * (q**g.degree - 1) for g, e in counts.items()
+        )
+        expected = {}
+        for g in counts:
+            expected[g.degree] = expected.get(g.degree, FqPoly.one(f.field)) * g
+        assert dict(_distinct_degree(f.monic())) == expected
+
+    def test_irreducible_of_degree_40(self):
+        assert phi_q(smallest_irreducible(F2, 40)) == 2**40 - 1
 
     def test_phi_table_matches_phi_q(self):
         for field, n in [(F3, 6), (F2, 7), (F2, 12), (F4, 5), (F5, 4), (F3, 8)]:
