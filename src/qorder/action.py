@@ -40,7 +40,7 @@ def _apply_i(tower: FieldTower, coeffs: tuple[int, ...], xv: int) -> int:
 
     On every tower it is an F_p-matrix, built once per polynomial by
     _action_sum and kept in the tower's action cache under coeffs
-    (_annihilation_points keys its values by (coeffs, check)).
+    (characters.py keys its per-divisor data by (coeffs, check)).
     """
     cols = tower._action_cache.get(coeffs)
     if cols is None:

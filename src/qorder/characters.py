@@ -7,6 +7,14 @@ lifts to characters by (g . chi)(x) = chi(g . x); the order of a character
 is the monic generator of its annihilator ideal, found here both by a
 definitional divisor scan (the oracle) and by the coefficient-reversal
 fast path through the label's element order.
+
+The scan tests g . chi = 1 for each divisor g in one of two ways.  Basis
+mode uses that the trace form (a, y) -> Tr(a*y) is F_p-bilinear: the values
+Tr(a * (g . x)) at the n*s basis points x are the entries of one F_p-matrix
+M_g applied to a, built once per divisor from the trace Gram matrix and the
+action matrix.  Exhaustive mode evaluates Tr(a * v) at every distinct value
+v = g . x over the whole field.  Neither uses the reciprocal relation that
+the fast path rests on.
 """
 
 from __future__ import annotations
@@ -76,46 +84,65 @@ def char_action_exponent(g: FqPoly, chi: AdditiveCharacter, x: FFElement) -> int
     return char_eval_exponent(chi, apply_action(g, x))
 
 
-def _annihilation_points(tower: FieldTower, coeffs: tuple[int, ...], check: str):
-    """Values g . x for x in the test set, cached per (polynomial, mode) on the tower.
+def _check_mode(check: str) -> None:
+    if check not in _CHECK_MODES:
+        raise ValueError(f"check must be one of {_CHECK_MODES}")
 
-    In basis mode the test set is the n*s monomial basis u^j t^i, which
-    suffices because x -> Tr(label * (g . x)) is F_p-linear; exhaustive
-    mode evaluates every element.
+
+def _trace_form_matrix(tower: FieldTower, coeffs: tuple[int, ...]) -> tuple[int, ...]:
+    """M_g, the F_p-matrix of a -> (Tr(a * (g . p^t)))_t for t < n*s, cached on the tower.
+
+    Row t of M_g is G (g . p^t) for the trace Gram matrix G, so M_g = A_g^T G
+    with A_g the action matrix: n*s applications of G and one transpose.  The
+    key (coeffs, "basis") stays apart from the action matrix's key coeffs.
     """
-    key = (coeffs, check)
-    cached = tower._action_cache.get(key)
-    if cached is not None:
-        return cached
-    if check == "basis":
-        points = [tower.p**t for t in range(tower.n * tower.s)]
-    else:
-        points = range(tower.size)
-    values = tuple(_apply_i(tower, coeffs, xv) for xv in points)
-    tower._action_cache[key] = values
+    key = (coeffs, "basis")
+    cols = tower._action_cache.get(key)
+    if cols is None:
+        gram, combine = tower._trace_gram(), tower._combine
+        rows = tower._linear(lambda b: combine(gram, _apply_i(tower, coeffs, b)))
+        cols = tower._action_cache[key] = tower._transpose(rows)
+    return cols
+
+
+def _annihilation_points(tower: FieldTower, coeffs: tuple[int, ...]) -> tuple[int, ...]:
+    """The distinct values g . x over the whole field, cached on the tower.
+
+    They are the image of the action: q^(n - deg g) of the q^n elements when
+    g divides x^n - 1.
+    """
+    key = (coeffs, "exhaustive")
+    values = tower._action_cache.get(key)
+    if values is None:
+        image = dict.fromkeys(_apply_i(tower, coeffs, xv) for xv in range(tower.size))
+        values = tower._action_cache[key] = tuple(image)
     return values
+
+
+def _annihilates(tower: FieldTower, coeffs: tuple[int, ...], lab: int, check: str) -> bool:
+    if check == "basis":
+        return tower._combine(_trace_form_matrix(tower, coeffs), lab) == 0
+    if lab == 0:
+        return True
+    trace_i, mul_i = tower.trace_i, tower.mul_i
+    return all(trace_i(mul_i(lab, v)) == 0 for v in _annihilation_points(tower, coeffs))
 
 
 def char_annihilated_by(
     g: FqPoly, chi: AdditiveCharacter, *, check: str = "basis"
 ) -> bool:
-    """True iff g . chi is the trivial character.
+    """True iff g . chi is the trivial character, i.e. Tr(label * (g . x)) = 0 for all x.
 
-    check="basis" tests the F_p-monomial basis only (valid by linearity);
-    check="exhaustive" tests every element of the field.
+    x -> Tr(label * (g . x)) is F_p-linear, and the trace form is bilinear, so
+    check="basis" tests all n*s basis points at once: the label lies in the
+    kernel of one matrix M_g per divisor (see _trace_form_matrix).
+    check="exhaustive" evaluates Tr(label * v) at every distinct value
+    v = g . x over the whole field.
     """
-    if check not in _CHECK_MODES:
-        raise ValueError(f"check must be one of {_CHECK_MODES}")
+    _check_mode(check)
     tower = chi.tower
     _check_coeff_field(g, tower)
-    lab = chi.label.value
-    if lab == 0:
-        return True
-    trace_i, mul_i = tower.trace_i, tower.mul_i
-    return all(
-        trace_i(mul_i(lab, v)) == 0
-        for v in _annihilation_points(tower, g.coeffs, check)
-    )
+    return _annihilates(tower, g.coeffs, chi.label.value, check)
 
 
 def char_order_bruteforce(
@@ -128,10 +155,14 @@ def char_order_bruteforce(
     (degree, lex) order and return the first that annihilates chi.
 
     Minimality makes the result unique; the scan order only affects cost.
+    Each test is the annihilation test of char_annihilated_by.
     """
-    _check_coeff_field(fp, chi.tower)
+    tower = chi.tower
+    _check_coeff_field(fp, tower)
+    _check_mode(check)
+    lab = chi.label.value
     for g in divisors_of_xn_minus_1(fp):
-        if char_annihilated_by(g, chi, check=check):
+        if _annihilates(tower, g.coeffs, lab, check):
             return g
     raise AssertionError("x^n - 1 annihilates every character")
 

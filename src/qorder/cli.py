@@ -30,7 +30,7 @@ from .classify import (
     reciprocal_order_sweep,
 )
 from .action import fq_order, is_normal
-from .errors import ParseError, PrimitiveNormalNotFoundError, QOrderError
+from .errors import NonPrimeError, ParseError, PrimitiveNormalNotFoundError, QOrderError
 from .fields import (
     DEFAULT_SIZE_BOUND,
     FFElement,
@@ -39,6 +39,7 @@ from .fields import (
     element_tokens,
     parse_element,
 )
+from .integers import is_prime
 from .poly import (
     FqPoly,
     factor_xn_minus_1,
@@ -490,6 +491,8 @@ def _resolve_config(args: argparse.Namespace) -> CommandConfig:
             raise ParseError(f"{config.command} does not accept {flag} with --grid")
     if config.command == "corollary2" and config.size_bound != default.size_bound:
         raise ParseError("corollary2 does not accept --size-bound")
+    if not is_prime(config.p):  # corollary2 builds no tower that would check it
+        raise NonPrimeError(f"{config.p} is not prime")
     return config
 
 

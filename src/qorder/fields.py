@@ -15,9 +15,9 @@ Both levels share one arithmetic core, FieldTower: F_{q^n} is the tower
 over F_q, and F_q itself (for s > 1) is computed as the tower F_p[t]/(g0)
 over F_p.  Either level gets discrete-log tables for multiplication, powers
 and inversion up to 2^14 elements; larger fields multiply coefficient vectors
-(shift-and-xor when q = 2).  F_p-linear maps (Frobenius, the trace, and the
-module action in action.py) are matrices on every tower, built once and
-applied by _combine.
+(shift-and-xor when q = 2).  F_p-linear maps (Frobenius, the trace, the Gram
+matrix Tr(p^i * p^j) of the trace form, and the module action in action.py)
+are matrices on every tower, built once and applied by _combine.
 """
 
 from __future__ import annotations
@@ -170,6 +170,7 @@ class FieldTower:
         "_exp",
         "_log",
         "_trace_cols",
+        "_gram_cols",
         "_trace_table",
         "_frob_cols",
         "_action_cache",
@@ -190,6 +191,7 @@ class FieldTower:
         self._exp = None
         self._log = None
         self._trace_cols = None
+        self._gram_cols = None
         self._trace_table = None
         self._frob_cols = None
         self._action_cache = {}
@@ -375,6 +377,15 @@ class FieldTower:
             value = value * p + (acc >> shift & mask) % p
         return value
 
+    def _transpose(self, cols: tuple[int, ...]) -> tuple[int, ...]:
+        """The columns of the transposed map, from and to the layout of _linear."""
+        w = 1 if self.p == 2 else (len(cols) * (self.p - 1) ** 2).bit_length()
+        mask = (1 << w) - 1
+        return tuple(
+            sum((col >> w * t & mask) << w * j for j, col in enumerate(cols))
+            for t in range(len(cols))
+        )
+
     def _frobenius_columns(self) -> list[tuple[int, ...]]:
         """cols[k] is the matrix of the p-power Frobenius x -> x^(p^k), k < n*s."""
         if self._frob_cols is None:
@@ -397,6 +408,16 @@ class FieldTower:
                 lambda b: reduce(add_i, (self._combine(m, b) for m in powers))
             )
         return self._trace_cols
+
+    def _trace_gram(self) -> tuple[int, ...]:
+        """The trace form's Gram matrix Tr(p^i * p^j), i, j < n*s: x -> (Tr(p^i * x))_i."""
+        if self._gram_cols is None:
+            p, trace_i, mul_i = self.p, self.trace_i, self.mul_i
+            basis = [p**i for i in range(self.n * self.s)]
+            self._gram_cols = self._linear(
+                lambda b: sum(trace_i(mul_i(e, b)) * e for e in basis)
+            )
+        return self._gram_cols
 
     def trace_i(self, x: int) -> int:
         """Tr_{q^n/p}(x) = sum of the n*s p-power conjugates, as a residue mod p."""

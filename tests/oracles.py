@@ -259,3 +259,15 @@ def oracle_char_annihilated(g, chi):
         if oracle_trace(FFElement(tower, product)) != 0:
             return False
     return True
+
+
+def oracle_annihilated_labels(tower, g):
+    """The labels a with Tr(a * (g . x)) = 0 for every x: oracle_char_annihilated
+    for every label at once, with each g . x and each trace computed once."""
+    image = {oracle_apply_action(tower, g.coeffs, v) for v in range(tower.size)}
+    trace = [oracle_trace(FFElement(tower, v)) for v in range(tower.size)]
+    return {
+        lab
+        for lab in range(tower.size)
+        if all(trace[oracle_tower_mul(tower, lab, v)] == 0 for v in image)
+    }

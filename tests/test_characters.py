@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qorder import (
     AdditiveCharacter,
@@ -25,8 +26,16 @@ from qorder import (
     trace_to_prime,
     trivial_character,
 )
+from qorder import action, characters, poly
+from qorder.action import _apply_i
+from qorder.characters import _CHECK_MODES, _annihilation_points, _trace_form_matrix
 
-from oracles import oracle_char_annihilated
+from oracles import (
+    oracle_annihilated_labels,
+    oracle_apply_action,
+    oracle_char_annihilated,
+)
+from test_action import OFF_GRID, towers_on_both_paths
 
 F2 = base_field(2)
 
@@ -177,6 +186,29 @@ class TestAnnihilation:
                         g, chi
                     )
 
+    @pytest.mark.parametrize("p,s,n", [(2, 1, 2), (2, 1, 3), (3, 1, 2), (3, 2, 1), (3, 2, 2)])
+    def test_both_modes_against_full_evaluation_oracle(self, p, s, n):
+        t = build_tower(p, s, n)
+        for g in divisors_of_xn_minus_1(factor_xn_minus_1(n, t.base)):
+            annihilated = oracle_annihilated_labels(t, g)
+            for chi in all_chars(t):
+                expected = chi.label.value in annihilated
+                if t.size < 81:  # the per-label oracle takes seconds on F_{9^2}
+                    assert expected == oracle_char_annihilated(g, chi)
+                for check in _CHECK_MODES:
+                    assert char_annihilated_by(g, chi, check=check) == expected, (
+                        (p, s, n), str(g), chi.label.value, check
+                    )
+
+    def test_exhaustive_points_are_the_distinct_image(self, small_grid):
+        # q^(n - deg g) distinct values g . x, since the kernel of g has q^(deg g)
+        for t, fp in small_grid:
+            for g in divisors_of_xn_minus_1(fp):
+                points = _annihilation_points(t, g.coeffs)
+                assert len(points) == len(set(points)) == t.q ** (t.n - g.degree)
+                image = {oracle_apply_action(t, g.coeffs, v) for v in range(t.size)}
+                assert set(points) == image, (t, str(g))
+
     def test_bad_check_mode(self, f4):
         t, _ = f4
         with pytest.raises(ValueError):
@@ -263,3 +295,34 @@ class TestCharacterOrders:
                     lhs = char_annihilated_by(g, chi)
                     rhs = apply_action(gr, FFElement(t, lab)).is_zero
                     assert lhs == rhs
+
+    def test_scan_never_calls_the_fast_route(self, f16_over_f4, monkeypatch):
+        t, fp = f16_over_f4
+        expected = {chi: char_order_fast(chi, fp) for chi in all_chars(t)}
+
+        def fast_route(*args):
+            raise AssertionError("the definitional scan used the fast route")
+
+        for module in (action, characters, poly):
+            for name in ("fq_order", "monic_reciprocal", "adjoint_action"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, fast_route)
+        for chi, order in expected.items():
+            for check in _CHECK_MODES:
+                assert char_order_bruteforce(chi, fp, check=check) == order
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(OFF_GRID), st.data())
+def test_trace_form_matrix_entries_on_towers_off_the_grid(psn, data):
+    # coordinate k of M_g a is Tr(a * (g . p^k)), on both arithmetic paths
+    tables, vectors, fp = towers_on_both_paths(*psn)
+    label = data.draw(st.integers(0, tables.size - 1), label="label")
+    divisors = divisors_of_xn_minus_1(fp)
+    g = divisors[data.draw(st.integers(0, len(divisors) - 1), label="divisor")]
+    for t in (tables, vectors):
+        image = t._combine(_trace_form_matrix(t, g.coeffs), label)
+        for k in range(t.n * t.s):
+            point = _apply_i(t, g.coeffs, t.p**k)
+            entry = image // t.p**k % t.p
+            assert entry == t.trace_i(t.mul_i(label, point)), (psn, str(g), label, k)

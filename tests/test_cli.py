@@ -309,6 +309,22 @@ class TestConfigPlumbing:
         assert "error: corollary2 does not accept --size-bound" in err
         assert out == ""
 
+    @pytest.mark.parametrize("p", ["4", "1"])
+    def test_non_prime_p_rejected_on_corollary2(self, capsys, p):
+        code, out, err = run_cli(capsys, "--p", p, "corollary2", "--n-max", "2")
+        assert code == 2
+        assert f"error: {p} is not prime" in err
+        assert out == ""
+
+    def test_prime_power_q_accepted_on_corollary2(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "--p", "3", "--s", "2", "corollary2", "--n-max", "2", "--format", "json"
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["meta"]["p"], doc["meta"]["s"]) == (3, 2)
+        assert [(r["q"], r["n"]) for r in doc["rows"]] == [(9, 1), (9, 2)]
+
     def test_default_p_s_size_bound_accepted(self, capsys):
         code, out, _ = run_cli(
             capsys, "--p", "2", "--s", "1", "--size-bound", str(1 << 24),

@@ -441,6 +441,30 @@ class TestKernelPastTableBound:
                 assert t.frob_i(x, k) == oracle_frob(t, x, k), (x, k)
 
     @pytest.mark.parametrize("p,s,n", [*PAST_TABLE_BOUND, (2, 1, 13)])
+    def test_trace_gram_matches_oracle(self, p, s, n):
+        # entry (i, j) is Tr(p^i * p^j); the trace form is symmetric, so G = G^T
+        t = build_tower(p, s, n)
+        gram = t._trace_gram()
+        assert t._transpose(gram) == gram
+        rng = random.Random(p * 1000 + s * 100 + n)
+        for _ in range(4):
+            i, j = rng.randrange(n * s), rng.randrange(n * s)
+            product = FFElement(t, oracle_tower_mul(t, p**i, p**j))
+            assert t._combine(gram, p**j) // p**i % p == oracle_trace(product), (i, j)
+
+    @pytest.mark.parametrize("p,s,n", [*PAST_TABLE_BOUND, (2, 1, 13)])
+    def test_transpose_swaps_entries(self, p, s, n):
+        # on the w-bit digit fields of odd p as on the bits of p = 2
+        t = build_tower(p, s, n)
+        frob = t._frobenius_columns()[1]
+        flipped = t._transpose(frob)
+        assert t._transpose(flipped) == frob
+        for i in range(n * s):
+            column = t._combine(flipped, p**i)
+            for j in range(n * s):
+                assert column // p**j % p == t._combine(frob, p**j) // p**i % p, (i, j)
+
+    @pytest.mark.parametrize("p,s,n", [*PAST_TABLE_BOUND, (2, 1, 13)])
     def test_multiplication_matches_oracle(self, p, s, n):
         # q = 2 towers take the shift-xor branch of _mul_vec, the others the
         # schoolbook one; on F_{2^13}, mul_i reads log tables built through _mul_vec
