@@ -14,10 +14,12 @@ every tower, and hence every report, reproducible across runs.
 Both levels share one arithmetic core, FieldTower: F_{q^n} is the tower
 over F_q, and F_q itself (for s > 1) is computed as the tower F_p[t]/(g0)
 over F_p.  Either level gets discrete-log tables for multiplication, powers
-and inversion up to 2^14 elements; larger fields multiply coefficient vectors
-(shift-and-xor when q = 2).  F_p-linear maps (Frobenius, the trace, the Gram
-matrix Tr(p^i * p^j) of the trace form, and the module action in action.py)
-are matrices on every tower, built once and applied by _combine.
+and inversion up to 2^14 elements; larger fields multiply coefficient vectors.
+When q = 2 an element is a bit mask in F_2[u], and a product is the
+carry-less multiply and reduction that FqPoly uses for F_2[x] (qorder.poly).
+F_p-linear maps (Frobenius, the trace, the Gram matrix Tr(p^i * p^j) of the
+trace form, and the module action in action.py) are matrices on every tower,
+built once and applied by _combine.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Callable, Iterator
 
 from .errors import FieldMismatchError, NonPrimeError, ParseError, SizeExceededError
 from .integers import is_prime, prime_factors
-from .poly import FqPoly, is_irreducible
+from .poly import FqPoly, _clmod, _clmul, is_irreducible
 
 #: Exhaustive operations refuse fields larger than this unless overridden.
 DEFAULT_SIZE_BOUND = 1 << 24
@@ -109,6 +111,8 @@ class BaseField:
     # -- identity ---------------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         return (
             isinstance(other, BaseField)
             and self.p == other.p
@@ -265,15 +269,8 @@ class FieldTower:
         n = self.n
         if n == 1:
             return base.mul(x, y)
-        if self.q == 2:  # x and y are bit masks in F_2[u]: shift-xor, then reduce
-            prod = 0
-            while y:
-                if y & 1:
-                    prod ^= x
-                x, y = x << 1, y >> 1
-            while prod >> n:
-                prod ^= self._mod_int << (prod.bit_length() - 1 - n)
-            return prod
+        if self.q == 2:  # x and y are bit masks in F_2[u], as FqPoly keeps F_2[x]
+            return _clmod(_clmul(x, y), self._mod_int)
         a = self.coeff_vec(x)
         b = self.coeff_vec(y)
         prod = [0] * (2 * n - 1)

@@ -1,9 +1,13 @@
 """Dense univariate polynomial arithmetic over a finite coefficient field.
 
-A polynomial is an immutable tuple of coefficients, constant term first,
-with no trailing zeros; the zero polynomial has an empty tuple and degree
--1.  Coefficients are integers in [0, q) encoding elements of the
+A polynomial presents an immutable tuple of coefficients, constant term
+first, with no trailing zeros; the zero polynomial has an empty tuple and
+degree -1.  Coefficients are integers in [0, q) encoding elements of the
 coefficient field F_q (little-endian base-p digits, see qorder.fields).
+Over F_2 the polynomial is kept as one int bit mask instead, and the tuple
+is built only when asked for.  Its product and remainder are one
+carry-less multiply (_clmul) and one reduction (_clmod), which the tower
+F_{2^n} = F_2[u]/(h0) in qorder.fields multiplies with as well.
 
 Beyond ring arithmetic this module provides the monic reciprocal
 f*(x) = f(0)^-1 x^deg(f) f(1/x), one distinct-degree loop that serves the
@@ -35,15 +39,43 @@ if TYPE_CHECKING:
 #: Divisor enumerations refuse to materialize more than this many divisors.
 DEFAULT_DIVISOR_BOUND = 4096
 
+# Bytes 0 and 1 to the digits "0" and "1": an F_2 coefficient list, reversed and
+# translated, is its bit mask written in base 2.
+_BIT_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _clmul(a: int, b: int) -> int:
+    """Carry-less product of F_2[x] bit masks: a shifted copy of a per set bit of b."""
+    out = 0
+    while b:
+        low = b & -b
+        out ^= a << (low.bit_length() - 1)
+        b ^= low
+    return out
+
+
+def _clmod(a: int, m: int) -> int:
+    """a mod m on F_2[x] bit masks, m nonzero.
+
+    Each step clears the top bit of a with m << (deg a - deg m).
+    """
+    dm = m.bit_length()
+    while (da := a.bit_length()) >= dm:
+        a ^= m << (da - dm)
+    return a
+
 
 class FqPoly:
     """Immutable dense polynomial over F_q.
 
     Construction canonicalizes: trailing zero coefficients are stripped, so
-    two equal polynomials always compare and hash equal.
+    two equal polynomials always compare and hash equal.  Over F_2 the
+    polynomial lives in one int bit mask (bit i is the coefficient of x^i),
+    its arithmetic is _clmul and _clmod, and the public coeffs tuple is
+    materialized on first use.
     """
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "coeffs", "_mask")
 
     def __init__(self, field: "BaseField", coeffs: Iterable[int] = ()):
         cs = list(coeffs)
@@ -55,6 +87,17 @@ class FqPoly:
                 raise ValueError(f"coefficient {c!r} outside [0, {q})")
         self.field = field
         self.coeffs = tuple(cs)
+        self._mask = None
+        if q == 2:
+            self._mask = int(bytes(cs[::-1]).translate(_BIT_DIGITS) or b"0", 2)
+
+    @staticmethod
+    def _of_mask(field: "BaseField", mask: int) -> "FqPoly":
+        """The polynomial over F_2 whose bit mask is mask; coeffs is built on first use."""
+        f = object.__new__(_MaskOnly)
+        f.field = field
+        f._mask = mask
+        return f
 
     # -- constructors ------------------------------------------------------
 
@@ -85,14 +128,19 @@ class FqPoly:
     @property
     def degree(self) -> int:
         """Degree; -1 stands for the zero polynomial."""
-        return len(self.coeffs) - 1
+        m = self._mask
+        return len(self.coeffs) - 1 if m is None else m.bit_length() - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        m = self._mask
+        return not self.coeffs if m is None else m == 0
 
     @property
     def is_monic(self) -> bool:
+        m = self._mask
+        if m is not None:
+            return m != 0
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
     def evaluate(self, a: int) -> int:
@@ -112,6 +160,8 @@ class FqPoly:
     def __add__(self, other: "FqPoly") -> "FqPoly":
         self._check_field(other)
         field = self.field
+        if self._mask is not None:
+            return FqPoly._of_mask(field, self._mask ^ other._mask)
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -121,6 +171,8 @@ class FqPoly:
         return FqPoly(field, out)
 
     def __neg__(self) -> "FqPoly":
+        if self._mask is not None:
+            return self
         field = self.field
         return FqPoly(field, (field.neg(c) for c in self.coeffs))
 
@@ -129,9 +181,11 @@ class FqPoly:
 
     def __mul__(self, other: "FqPoly") -> "FqPoly":
         self._check_field(other)
-        if self.is_zero or other.is_zero:
-            return FqPoly(self.field)
         field = self.field
+        if self._mask is not None:
+            return FqPoly._of_mask(field, _clmul(self._mask, other._mask))
+        if self.is_zero or other.is_zero:
+            return FqPoly(field)
         a, b = self.coeffs, other.coeffs
         out = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
@@ -154,6 +208,14 @@ class FqPoly:
         db = other.degree
         if self.degree < db:
             return FqPoly(field), self
+        if self._mask is not None:
+            # Reduce a * x^k by m * x^k + 1, k the number of quotient bits: each
+            # step that clears a top bit also sets the matching quotient bit below
+            # bit k, so the result is the remainder above bit k, the quotient below.
+            k = self.degree - db + 1
+            both = _clmod(self._mask << k, other._mask << k | 1)
+            quo, rem = both & ((1 << k) - 1), both >> k
+            return FqPoly._of_mask(field, quo), FqPoly._of_mask(field, rem)
         inv_lead = field.inv(other.coeffs[-1])
         rem = list(self.coeffs)
         quo = [0] * (self.degree - db + 1)
@@ -190,7 +252,7 @@ class FqPoly:
         """The monic scalar multiple of a nonzero polynomial."""
         if self.is_zero:
             raise ValueError("the zero polynomial has no monic associate")
-        if self.coeffs[-1] == 1:
+        if self.is_monic:
             return self
         return self.scale(self.field.inv(self.coeffs[-1]))
 
@@ -202,11 +264,10 @@ class FqPoly:
         return tuple(digits(c) for c in self.coeffs)
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, FqPoly)
-            and self.field == other.field
-            and self.coeffs == other.coeffs
-        )
+        if not isinstance(other, FqPoly) or self.field != other.field:
+            return False
+        m = self._mask
+        return self.coeffs == other.coeffs if m is None else m == other._mask
 
     def __hash__(self) -> int:
         return hash((self.field.p, self.field.s, self.coeffs))
@@ -228,6 +289,24 @@ class FqPoly:
 
     def __repr__(self) -> str:
         return f"FqPoly(q={self.field.size}, '{poly_tokens(self)}')"
+
+
+class _MaskOnly(FqPoly):
+    """An FqPoly over F_2 made from its bit mask whose coeffs nobody has read yet.
+
+    The first read fills the coeffs slot and makes the instance a plain FqPoly,
+    so later reads cost a slot lookup, as for every other polynomial.
+    """
+
+    __slots__ = ()
+
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        m = self._mask
+        cs = tuple(m >> i & 1 for i in range(m.bit_length()))
+        FqPoly.coeffs.__set__(self, cs)
+        self.__class__ = FqPoly
+        return cs
 
 
 def poly_sort_key(f: FqPoly) -> tuple:
@@ -281,11 +360,14 @@ def monic_reciprocal(f: FqPoly) -> FqPoly:
     Defined only when f(0) != 0; reverses the coefficient tuple and
     normalizes to monic, preserving the degree.
     """
-    if f.is_zero or f.coeffs[0] == 0:
+    m = f._mask
+    if f.is_zero or (f.coeffs[0] if m is None else m & 1) == 0:
         raise ZeroConstantTermError(
             "monic reciprocal requires a nonzero constant term"
         )
-    return FqPoly(f.field, tuple(reversed(f.coeffs))).monic()
+    if m is not None:  # over F_2 the bit mask read backwards, already monic
+        return FqPoly._of_mask(f.field, int(bin(m)[:1:-1], 2))
+    return FqPoly(f.field, f.coeffs[::-1]).monic()
 
 
 def is_self_reciprocal(f: FqPoly) -> bool:

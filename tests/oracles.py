@@ -132,6 +132,71 @@ def oracle_apply_action(tower, coeffs, x):
     return _oracle_action_sum(tower, coeffs, conj)
 
 
+# -- F_2[x] on digit lists ---------------------------------------------------
+#
+# A polynomial over F_2 is a list of 0/1 digits, constant term first, with no
+# trailing zeros; [] is zero.  Schoolbook product, long division and Euclid mod 2
+# on these lists check FqPoly's bit-mask arithmetic without calling it.
+
+
+def _f2_trim(digits):
+    out = list(digits)
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def oracle_f2_add(a, b):
+    width = max(len(a), len(b))
+    a, b = a + [0] * (width - len(a)), b + [0] * (width - len(b))
+    return _f2_trim((x + y) % 2 for x, y in zip(a, b))
+
+
+def oracle_f2_mul(a, b):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b) if x else ():
+            out[i + j] = (out[i + j] + y) % 2
+    return _f2_trim(out)
+
+
+def oracle_f2_divmod(a, b):
+    """Long division of a by the nonzero b: (quotient, remainder)."""
+    if not b:
+        raise ZeroDivisionError("division by the zero polynomial")
+    rem = list(a)
+    quo = [0] * max(len(a) - len(b) + 1, 0)
+    for i in range(len(quo) - 1, -1, -1):
+        if rem[i + len(b) - 1]:
+            quo[i] = 1
+            for j, y in enumerate(b):
+                rem[i + j] = (rem[i + j] + y) % 2
+    return _f2_trim(quo), _f2_trim(rem)
+
+
+def oracle_f2_powmod(a, e, m):
+    """a^e mod m by e multiplications, each reduced."""
+    a = oracle_f2_divmod(a, m)[1]
+    out = oracle_f2_divmod([1], m)[1]
+    for _ in range(e):
+        out = oracle_f2_divmod(oracle_f2_mul(out, a), m)[1]
+    return out
+
+
+def oracle_f2_gcd(a, b):
+    """Euclid; over F_2 every nonzero gcd is already monic."""
+    while b:
+        a, b = b, oracle_f2_divmod(a, b)[1]
+    return a
+
+
+def oracle_f2_reciprocal(a):
+    """x^deg(a) a(1/x) for a(0) = 1: the digits reversed."""
+    return a[::-1]
+
+
 def monic_polys(field, degree):
     for lower in itertools.product(coeff_lex_order(field), repeat=degree):
         yield FqPoly(field, (*lower, 1))

@@ -417,6 +417,19 @@ class TestBaseFieldArithmetic:
             BaseField(2, 2, (1, 0, 1))
 
 
+class TestBaseFieldEquality:
+    def test_identity_then_value(self):
+        # canonical fields are cached instances, so equality is usually identity;
+        # distinct instances still compare by (p, s, modulus)
+        canonical = base_field(3, 2)
+        assert base_field(3, 2) is canonical and canonical == canonical
+        direct = BaseField(3, 2, canonical.modulus)
+        assert direct is not canonical
+        assert direct == canonical and canonical == direct
+        assert BaseField(3, 2, (2, 1, 1)) != canonical
+        assert BaseField(2, 1, (0, 1)) == base_field(2) != base_field(3)
+
+
 class TestKernelPastTableBound:
     """Frobenius and multiplication against the digit-list oracles, on towers
     past the table bound and on F_{2^13}, a q = 2 tower on the log tables."""

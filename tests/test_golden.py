@@ -52,6 +52,18 @@ GOLDEN = [
         ("--p", "2", "--s", "2", "--n", "8", "char-order", "1,1,0,0,2,2,1,2"),
         "c4260143bafc5d5d19d3c6b64a453a300694cac738d07fba464659454eb8b59c",
     ),
+    # Factorizations over F_2 as bit masks.  Recorded from a checkout of the
+    # commit before FqPoly kept F_2[x] in one int, when n = 1023 took about 6 s.
+    # x^1023 - 1 has 107 irreducible factors of degrees 1, 2, 5 and 10;
+    # x^1024 - 1 = (x + 1)^1024.
+    (
+        ("--p", "2", "factor", "--n", "1023"),
+        "8b1e768b91541de0470c696423c849877ad8ef0f5ddd00297b437339b2f42b3f",
+    ),
+    (
+        ("--p", "2", "factor", "--n", "1024"),
+        "6581ba69abac1107fcb8d7412aacac3e49d2acb9593015a05ad81b8498788451",
+    ),
 ]
 
 

@@ -3,13 +3,14 @@ from functools import cache
 from math import prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qorder import (
     FqPoly,
     SizeExceededError,
     ZeroConstantTermError,
     base_field,
+    build_tower,
     divisor_phi_table,
     divisors_of_xn_minus_1,
     factor_xn_minus_1,
@@ -27,7 +28,20 @@ from qorder import (
 from qorder.errors import ParseError
 from qorder.poly import _distinct_degree
 
-from oracles import monic_polys, oracle_divisors, oracle_factor, oracle_is_irreducible, oracle_unit_count
+from oracles import (
+    monic_polys,
+    oracle_divisors,
+    oracle_f2_add,
+    oracle_f2_divmod,
+    oracle_f2_gcd,
+    oracle_f2_mul,
+    oracle_f2_powmod,
+    oracle_f2_reciprocal,
+    oracle_factor,
+    oracle_is_irreducible,
+    oracle_tower_mul,
+    oracle_unit_count,
+)
 
 F2 = base_field(2)
 F3 = base_field(3)
@@ -142,6 +156,65 @@ class TestArithmetic:
         f = P(F3, 2, 1, 1)  # x^2 + x + 2
         assert f.evaluate(0) == 2
         assert f.evaluate(1) == 1  # 1 + 1 + 2 = 4 = 1 mod 3
+
+
+# -- F_2[x] on bit masks ---------------------------------------------------------
+
+
+@st.composite
+def f2_digits(draw, max_degree=300):
+    """Digits of a polynomial over F_2 of degree -1 (zero) to max_degree, top digit 1."""
+    d = draw(st.one_of(st.integers(-1, 1), st.integers(-1, max_degree)))
+    if d < 0:
+        return []
+    return [*draw(st.lists(st.integers(0, 1), min_size=d, max_size=d)), 1]
+
+
+class TestBitMaskArithmetic:
+    """FqPoly over F_2 against digit lists, and the tower's q = 2 product, which
+    shares the carry-less multiply and reduction."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(f2_digits(), f2_digits(), st.integers(0, 12), st.integers(0, 3))
+    @example([], [1], 3, 1)
+    @example([0, 1], [], 0, 0)
+    @example([1], [1, 1], 0, 2)
+    @example([1, 0, 1, 1], [1, 1, 0, 0, 1], 5, 0)
+    def test_matches_digit_list_oracle(self, a, b, e, pad):
+        fa, fb = P(F2, *a, *[0] * pad), P(F2, *b)
+        assert fa.coeffs == tuple(a) and fa.degree == len(a) - 1
+
+        def same(f, digits):
+            # built by mask arithmetic, compared with a polynomial built from a tuple
+            expected = FqPoly(F2, tuple(digits))
+            assert f == expected and hash(f) == hash(expected)
+            assert f.coeffs == tuple(digits) and f.degree == len(digits) - 1
+            assert f.coeffs == () or f.coeffs[-1] == 1
+
+        same(fa + fb, oracle_f2_add(a, b))
+        same(fa - fb, oracle_f2_add(a, b))
+        same(fa * fb, oracle_f2_mul(a, b))
+        if b:
+            quo, rem = divmod(fa, fb)
+            oracle_quo, oracle_rem = oracle_f2_divmod(a, b)
+            same(quo, oracle_quo)
+            same(rem, oracle_rem)
+            same(fa % fb, oracle_rem)
+            same(fa // fb, oracle_quo)
+            same(fa.powmod(e, fb), oracle_f2_powmod(a, e, b))
+        same(poly_gcd(fa, fb), oracle_f2_gcd(a, b))
+        if a and a[0]:
+            same(monic_reciprocal(fa), oracle_f2_reciprocal(a))
+
+    @pytest.mark.parametrize("n", [15, 16])
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_tower_product_matches_oracle(self, n, data):
+        # past the table bound, so mul_i is _mul_vec on the bit masks of F_2[u]
+        t = build_tower(2, 1, n)
+        element = st.one_of(st.sampled_from([0, 1, 2, t.size - 1]), st.integers(0, t.size - 1))
+        x, y = data.draw(element), data.draw(element)
+        assert t._mul_vec(x, y) == oracle_tower_mul(t, x, y)
 
 
 # -- monic reciprocal -----------------------------------------------------------
