@@ -493,6 +493,8 @@ def _resolve_config(args: argparse.Namespace) -> CommandConfig:
         raise ParseError("corollary2 does not accept --size-bound")
     if not is_prime(config.p):  # corollary2 builds no tower that would check it
         raise NonPrimeError(f"{config.p} is not prime")
+    if config.s < 1:
+        raise ParseError(f"--s must be at least 1, got {config.s}")
     return config
 
 

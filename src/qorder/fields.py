@@ -14,9 +14,10 @@ every tower, and hence every report, reproducible across runs.
 Both levels share one arithmetic core, FieldTower: F_{q^n} is the tower
 over F_q, and F_q itself (for s > 1) is computed as the tower F_p[t]/(g0)
 over F_p.  Either level gets discrete-log tables for multiplication, powers
-and inversion up to 2^14 elements; larger fields multiply coefficient vectors.
-When q = 2 an element is a bit mask in F_2[u], and a product is the
-carry-less multiply and reduction that FqPoly uses for F_2[x] (qorder.poly).
+and inversion up to 2^14 elements.  Past them a product is the multiply and
+reduction FqPoly uses (qorder.poly), on bit masks in F_2[u] when q = 2 and on
+F_q coefficient lists otherwise.  Under + F_{q^n} is F_p^(n*s), so addition
+is F_p digit arithmetic: XOR for p = 2, one loop over base-p digits otherwise.
 F_p-linear maps (Frobenius, the trace, the Gram matrix Tr(p^i * p^j) of the
 trace form, and the module action in action.py) are matrices on every tower,
 built once and applied by _combine.
@@ -31,7 +32,7 @@ from typing import Callable, Iterator
 
 from .errors import FieldMismatchError, NonPrimeError, ParseError, SizeExceededError
 from .integers import is_prime, prime_factors
-from .poly import FqPoly, _clmod, _clmul, is_irreducible
+from .poly import FqPoly, _clmod, _clmul, _coeff_divmod, _coeff_mul, is_irreducible
 
 #: Exhaustive operations refuse fields larger than this unless overridden.
 DEFAULT_SIZE_BOUND = 1 << 24
@@ -169,8 +170,6 @@ class FieldTower:
         "size",
         "base",
         "top_modulus",
-        "_mod_vec",
-        "_mod_int",
         "_exp",
         "_log",
         "_trace_cols",
@@ -190,8 +189,6 @@ class FieldTower:
         self.n = top_modulus.degree
         self.size = self.q**self.n
         self.top_modulus = top_modulus
-        self._mod_vec = top_modulus.coeffs[:-1]
-        self._mod_int = self.from_coeff_vec(top_modulus.coeffs)  # a bit mask if q = 2
         self._exp = None
         self._log = None
         self._trace_cols = None
@@ -209,9 +206,13 @@ class FieldTower:
 
     def coeff_vec(self, x: int) -> list[int]:
         """Little-endian base-q digits: the F_q coefficients in the u-power basis."""
-        q = self.q
-        out = []
-        for _ in range(self.n):
+        out = self._coeffs(x)
+        return out + [0] * (self.n - len(out))
+
+    def _coeffs(self, x: int) -> list[int]:
+        """The base-q digits of x up to the top nonzero one, as FqPoly keeps coeffs."""
+        q, out = self.q, []
+        while x:
             x, r = divmod(x, q)
             out.append(r)
         return out
@@ -238,55 +239,33 @@ class FieldTower:
     # -- arithmetic ----------------------------------------------------------------
 
     def add_i(self, x: int, y: int) -> int:
-        if self.p == 2:
-            return x ^ y
-        base = self.base
-        q = self.q
-        value = 0
-        mult = 1
-        for _ in range(self.n):
-            x, a = divmod(x, q)
-            y, b = divmod(y, q)
-            value += base.add(a, b) * mult
-            mult *= q
-        return value
-
-    def neg_i(self, x: int) -> int:
-        if self.p == 2:
-            return x
-        base = self.base
-        return self.from_coeff_vec([base.neg(c) for c in self.coeff_vec(x)])
+        return x ^ y if self.p == 2 else self._add_digits(x, y, 1)
 
     def sub_i(self, x: int, y: int) -> int:
-        if self.p == 2:
-            return x ^ y
-        return self.add_i(x, self.neg_i(y))
+        return x ^ y if self.p == 2 else self._add_digits(x, y, -1)
+
+    def neg_i(self, x: int) -> int:
+        return x if self.p == 2 else self._add_digits(0, x, -1)
+
+    def _add_digits(self, x: int, y: int, sign: int) -> int:
+        """x + sign * y for odd p: under + F_{q^n} is F_p^(n*s), digit by base-p digit."""
+        p = self.p
+        value, mult = 0, 1
+        while x or y:
+            x, a = divmod(x, p)
+            y, b = divmod(y, p)
+            value += (a + sign * b) % p * mult
+            mult *= p
+        return value
 
     def _mul_vec(self, x: int, y: int) -> int:
-        if x == 0 or y == 0:
-            return 0
         base = self.base
-        n = self.n
-        if n == 1:
+        if self.n == 1:
             return base.mul(x, y)
         if self.q == 2:  # x and y are bit masks in F_2[u], as FqPoly keeps F_2[x]
-            return _clmod(_clmul(x, y), self._mod_int)
-        a = self.coeff_vec(x)
-        b = self.coeff_vec(y)
-        prod = [0] * (2 * n - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        prod[i + j] = base.add(prod[i + j], base.mul(ai, bj))
-        for i in range(2 * n - 2, n - 1, -1):
-            c = prod[i]
-            if c:
-                prod[i] = 0
-                for j, m in enumerate(self._mod_vec):
-                    if m:
-                        prod[i - n + j] = base.sub(prod[i - n + j], base.mul(c, m))
-        return self.from_coeff_vec(prod[:n])
+            return _clmod(_clmul(x, y), self.top_modulus._mask)
+        prod = _coeff_mul(base, self._coeffs(x), self._coeffs(y))
+        return self.from_coeff_vec(_coeff_divmod(base, prod, self.top_modulus.coeffs)[1])
 
     def mul_i(self, x: int, y: int) -> int:
         exp = self._exp

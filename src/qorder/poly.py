@@ -5,9 +5,10 @@ first, with no trailing zeros; the zero polynomial has an empty tuple and
 degree -1.  Coefficients are integers in [0, q) encoding elements of the
 coefficient field F_q (little-endian base-p digits, see qorder.fields).
 Over F_2 the polynomial is kept as one int bit mask instead, and the tuple
-is built only when asked for.  Its product and remainder are one
-carry-less multiply (_clmul) and one reduction (_clmod), which the tower
-F_{2^n} = F_2[u]/(h0) in qorder.fields multiplies with as well.
+is built only when asked for.  Products and remainders are _clmul and _clmod
+on bit masks over F_2, _coeff_mul (schoolbook) and _coeff_divmod (long
+division) on coefficient lists otherwise; the tower F_{q^n} = F_q[u]/(h0) in
+qorder.fields multiplies with the same helpers.
 
 Beyond ring arithmetic this module provides the monic reciprocal
 f*(x) = f(0)^-1 x^deg(f) f(1/x), one distinct-degree loop that serves the
@@ -24,7 +25,7 @@ import itertools
 import random
 from functools import cached_property
 from math import prod
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import (
     FieldMismatchError,
@@ -63,6 +64,41 @@ def _clmod(a: int, m: int) -> int:
     while (da := a.bit_length()) >= dm:
         a ^= m << (da - dm)
     return a
+
+
+def _coeff_mul(field: "BaseField", a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Schoolbook product of F_q coefficient lists (constant first); [] is zero."""
+    add, mul = field.add, field.mul
+    out = [0] * (len(a) + len(b) - 1)
+    terms = [(j, bj) for j, bj in enumerate(b) if bj]
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in terms:
+                out[i + j] = add(out[i + j], mul(ai, bj))
+    return out
+
+
+def _coeff_divmod(
+    field: "BaseField", a: Sequence[int], m: Sequence[int]
+) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of F_q coefficient lists by long division, m[-1] != 0.
+
+    The remainder has min(len(a), deg m) entries, trailing zeros included.
+    """
+    sub, mul = field.sub, field.mul
+    dm = len(m) - 1
+    low, lead = m[:dm], m[dm]
+    inv_lead = 1 if lead == 1 else field.inv(lead)
+    rem = list(a)
+    quo = [0] * max(len(a) - dm, 0)
+    for i in range(len(quo) - 1, -1, -1):
+        top = rem[i + dm]
+        if top:
+            f = quo[i] = top if inv_lead == 1 else mul(top, inv_lead)
+            for j, c in enumerate(low):
+                if c:
+                    rem[i + j] = sub(rem[i + j], mul(f, c))
+    return quo, rem[:dm]
 
 
 class FqPoly:
@@ -184,16 +220,7 @@ class FqPoly:
         field = self.field
         if self._mask is not None:
             return FqPoly._of_mask(field, _clmul(self._mask, other._mask))
-        if self.is_zero or other.is_zero:
-            return FqPoly(field)
-        a, b = self.coeffs, other.coeffs
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        out[i + j] = field.add(out[i + j], field.mul(ai, bj))
-        return FqPoly(field, out)
+        return FqPoly(field, _coeff_mul(field, self.coeffs, other.coeffs))
 
     def scale(self, c: int) -> "FqPoly":
         """Multiply by the scalar c."""
@@ -216,17 +243,8 @@ class FqPoly:
             both = _clmod(self._mask << k, other._mask << k | 1)
             quo, rem = both & ((1 << k) - 1), both >> k
             return FqPoly._of_mask(field, quo), FqPoly._of_mask(field, rem)
-        inv_lead = field.inv(other.coeffs[-1])
-        rem = list(self.coeffs)
-        quo = [0] * (self.degree - db + 1)
-        for i in range(self.degree - db, -1, -1):
-            top = rem[i + db]
-            if top:
-                f = field.mul(top, inv_lead)
-                quo[i] = f
-                for j, bc in enumerate(other.coeffs):
-                    rem[i + j] = field.sub(rem[i + j], field.mul(f, bc))
-        return FqPoly(field, quo), FqPoly(field, rem[:db])
+        quo, rem = _coeff_divmod(field, self.coeffs, other.coeffs)
+        return FqPoly(field, quo), FqPoly(field, rem)
 
     def __floordiv__(self, other: "FqPoly") -> "FqPoly":
         return divmod(self, other)[0]

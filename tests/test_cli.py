@@ -316,6 +316,20 @@ class TestConfigPlumbing:
         assert f"error: {p} is not prime" in err
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--s", "0", "corollary2", "--n-max", "2"),
+            ("--s", "-1", "corollary2", "--n-max", "2"),
+            ("--s", "0", "--n", "2", "orders"),
+        ],
+    )
+    def test_s_below_one_rejected(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err == f"error: --s must be at least 1, got {argv[1]}\n"
+        assert out == ""
+
     def test_prime_power_q_accepted_on_corollary2(self, capsys):
         code, out, _ = run_cli(
             capsys, "--p", "3", "--s", "2", "corollary2", "--n-max", "2", "--format", "json"

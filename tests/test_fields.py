@@ -479,8 +479,9 @@ class TestKernelPastTableBound:
 
     @pytest.mark.parametrize("p,s,n", [*PAST_TABLE_BOUND, (2, 1, 13)])
     def test_multiplication_matches_oracle(self, p, s, n):
-        # q = 2 towers take the shift-xor branch of _mul_vec, the others the
-        # schoolbook one; on F_{2^13}, mul_i reads log tables built through _mul_vec
+        # q = 2 towers multiply and reduce bit masks, the others F_q coefficient
+        # lists with the helpers FqPoly uses; on F_{2^13}, mul_i reads log tables
+        # built through _mul_vec
         t = build_tower(p, s, n)
         rng = random.Random(p * 1000 + s * 100 + n)
         pairs = [(a, b) for a in self.points(t, seed=n) for b in (1, t.q, t.size - 1)]
@@ -489,3 +490,22 @@ class TestKernelPastTableBound:
             expected = oracle_tower_mul(t, a, b)
             assert t._mul_vec(a, b) == expected, (a, b)
             assert t.mul_i(a, b) == expected, (a, b)
+
+
+class TestTowerAddition:
+    """Odd-p F_{q^n} under + is F_p^(n*s): add_i, sub_i and neg_i against the
+    digit oracles, with s = 1 and s = 2, below and past the table bound."""
+
+    @pytest.mark.parametrize(
+        "p,s,n", [(3, 1, 10), (5, 1, 7), (3, 2, 5), (5, 2, 4), (3, 2, 4), (7, 1, 4)]
+    )
+    def test_matches_digit_oracle(self, p, s, n):
+        t = build_tower(p, s, n)
+        digits = n * s
+        rng = random.Random(p * 1000 + s * 100 + n)
+        points = [0, 1, t.q - 1, t.size - 1, *(rng.randrange(t.size) for _ in range(12))]
+        for x, y in itertools.product(points, repeat=2):
+            neg_y = oracle_base_neg(p, digits, y)
+            assert t.add_i(x, y) == oracle_base_add(p, digits, x, y), (x, y)
+            assert t.sub_i(x, y) == oracle_base_add(p, digits, x, neg_y), (x, y)
+            assert t.neg_i(y) == neg_y, y

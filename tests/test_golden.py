@@ -64,6 +64,18 @@ GOLDEN = [
         ("--p", "2", "factor", "--n", "1024"),
         "6581ba69abac1107fcb8d7412aacac3e49d2acb9593015a05ad81b8498788451",
     ),
+    # Odd q with s = 2, recorded from a checkout of the commit before the tower
+    # and FqPoly shared one coefficient-list multiply and reduction and F_{q^n}
+    # added base-p digits.  F_{25^4} lies past the table bound; the label's
+    # element order x^2 + 2x + 2 is not self-reciprocal.
+    (
+        ("--p", "5", "--s", "2", "--n", "4", "char-order", "1,20,3,18"),
+        "fab16bc36b6f13b5963ddd2681a73aab7b93c4122ac7c75334c394c0fa8b7cde",
+    ),
+    (
+        ("--p", "3", "--s", "2", "factor", "--n", "80"),
+        "94dbaa01e43130230ee1f0c28c95b8ee87b24e0d2102f56baf75b2d53ffa8aa9",
+    ),
 ]
 
 
