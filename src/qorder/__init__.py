@@ -7,24 +7,20 @@ relationship between the two exhaustively at desk scale.
 """
 
 from .action import (
-    OrderRecord,
     adjoint_action,
     apply_action,
     fq_order,
     is_normal,
     linearized_eval,
-    order_record,
 )
 from .characters import (
     AdditiveCharacter,
-    CharOrderReport,
     char_action_exponent,
     char_annihilated_by,
     char_eval_exponent,
     char_mul,
     char_order_bruteforce,
     char_order_fast,
-    char_order_report,
     trivial_character,
 )
 from .classify import (

@@ -8,8 +8,6 @@ and the elements of maximal order x^n - 1 are exactly the normal ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (
     DegreeTooLargeError,
     FieldMismatchError,
@@ -90,17 +88,8 @@ def adjoint_action(g: FqPoly, x: FFElement) -> FFElement:
     return FFElement(tower, _apply_i(tower, tuple(coeffs), x.value))
 
 
-def fq_order(x: FFElement, fp: FactoredPoly) -> FqPoly:
-    """The monic polynomial of least degree annihilating x under the action.
-
-    fp must be the factorization of x^n - 1 for the element's tower.  Starting
-    from the full product, each irreducible factor is stripped while the
-    quotient still annihilates x; the result is the unique monic divisor m
-    with m . x = 0 and (m/P) . x != 0 for every irreducible P | m.
-    """
-    tower = x.tower
-    _check_coeff_field(fp, tower)
-    xv = x.value
+def _fq_order_i(tower: FieldTower, fp: FactoredPoly, xv: int) -> FqPoly:
+    """fq_order of the value xv, with no check that fp belongs to the tower."""
     exps = [e for _, e in fp.factors]
     for idx in range(len(exps)):
         while exps[idx] > 0:
@@ -111,23 +100,21 @@ def fq_order(x: FFElement, fp: FactoredPoly) -> FqPoly:
     return fp.divisor(tuple(exps))
 
 
+def fq_order(x: FFElement, fp: FactoredPoly) -> FqPoly:
+    """The monic polynomial of least degree annihilating x under the action.
+
+    fp must be the factorization of x^n - 1 for the element's tower.  Starting
+    from the full product, each irreducible factor is stripped while the
+    quotient still annihilates x; the result is the unique monic divisor m
+    with m . x = 0 and (m/P) . x != 0 for every irreducible P | m.
+    """
+    _check_coeff_field(fp, x.tower)
+    return _fq_order_i(x.tower, fp, x.value)
+
+
 def is_normal(x: FFElement, fp: FactoredPoly) -> bool:
     """True iff the order of x is the full x^n - 1.
 
     Equivalently, the conjugates x, x^q, ..., x^(q^(n-1)) form an F_q-basis.
     """
     return fq_order(x, fp) == fp.expand()
-
-
-@dataclass(frozen=True)
-class OrderRecord:
-    """An element together with its computed order data."""
-
-    element: FFElement
-    order: FqPoly
-    is_normal: bool
-
-
-def order_record(x: FFElement, fp: FactoredPoly) -> OrderRecord:
-    m = fq_order(x, fp)
-    return OrderRecord(element=x, order=m, is_normal=m == fp.expand())

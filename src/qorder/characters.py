@@ -145,6 +145,20 @@ def char_annihilated_by(
     return _annihilates(tower, g.coeffs, chi.label.value, check)
 
 
+def _char_order_i(
+    tower: FieldTower, divisors: tuple[FqPoly, ...], lab: int, check: str
+) -> FqPoly:
+    """The first of divisors that annihilates the character labeled lab.
+
+    The scan of char_order_bruteforce, with none of its checks: divisors are
+    those of x^n - 1 over the tower's base field, in (degree, lex) order.
+    """
+    for g in divisors:
+        if _annihilates(tower, g.coeffs, lab, check):
+            return g
+    raise AssertionError("x^n - 1 annihilates every character")
+
+
 def char_order_bruteforce(
     chi: AdditiveCharacter,
     fp: FactoredPoly,
@@ -160,36 +174,9 @@ def char_order_bruteforce(
     tower = chi.tower
     _check_coeff_field(fp, tower)
     _check_mode(check)
-    lab = chi.label.value
-    for g in divisors_of_xn_minus_1(fp):
-        if _annihilates(tower, g.coeffs, lab, check):
-            return g
-    raise AssertionError("x^n - 1 annihilates every character")
+    return _char_order_i(tower, divisors_of_xn_minus_1(fp), chi.label.value, check)
 
 
 def char_order_fast(chi: AdditiveCharacter, fp: FactoredPoly) -> FqPoly:
     """Order of the character as the monic reciprocal of its label's order."""
     return monic_reciprocal(fq_order(chi.label, fp))
-
-
-@dataclass(frozen=True)
-class CharOrderReport:
-    """Both order computations for one character, with their agreement flag."""
-
-    character: AdditiveCharacter
-    order_bruteforce: FqPoly
-    order_fast: FqPoly
-
-    @property
-    def agree(self) -> bool:
-        return self.order_bruteforce == self.order_fast
-
-
-def char_order_report(
-    chi: AdditiveCharacter, fp: FactoredPoly, *, check: str = "basis"
-) -> CharOrderReport:
-    return CharOrderReport(
-        character=chi,
-        order_bruteforce=char_order_bruteforce(chi, fp, check=check),
-        order_fast=char_order_fast(chi, fp),
-    )

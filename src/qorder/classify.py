@@ -4,6 +4,12 @@ This module sweeps whole fields: it partitions elements and characters by
 their orders, verifies that the two order notions coincide exactly on the
 self-reciprocal orders, decides the Meyn criterion for a given (q, n), and
 locates primitive normal elements by exhaustive lexicographic search.
+
+A sweep makes the checks of the per-element functions once, then runs the
+order kernels of action.py and characters.py on the elements as plain ints;
+per-divisor data such as reciprocals is looked up once per divisor.  Elements
+and characters are wrapped in FFElement and AdditiveCharacter only where a
+result holds them: partitions, counterexamples, the element found.
 """
 
 from __future__ import annotations
@@ -12,8 +18,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .action import fq_order
-from .characters import AdditiveCharacter, char_order_bruteforce
+from .action import _check_coeff_field, _fq_order_i
+from .characters import AdditiveCharacter, _char_order_i, _check_mode
 from .errors import PrimitiveNormalNotFoundError, SizeExceededError, ZeroElementError
 from .fields import DEFAULT_SIZE_BOUND, FFElement, FieldTower, base_field
 from .integers import factorize, prime_power_decomposition
@@ -48,22 +54,30 @@ MEYN_SWEEP_PRIME_POWERS: tuple[int, ...] = (2, 3, 4, 5, 7, 8, 9)
 MEYN_SWEEP_MAX_N: int = 20
 
 
-def _check_size(tower: FieldTower, size_bound: int) -> None:
+def _check_sweep(tower: FieldTower, fp: FactoredPoly, size_bound: int) -> None:
+    """The size bound, then the check fq_order makes on every element, once."""
     if tower.size > size_bound:
         raise SizeExceededError(
             f"sweeping {tower.size} elements exceeds the size bound {size_bound}"
         )
+    _check_coeff_field(fp, tower)
+
+
+def _scan_divisors(
+    tower: FieldTower, fp: FactoredPoly, check: str, size_bound: int
+) -> tuple[FqPoly, ...]:
+    """The divisors in scan order, after the checks char_order_bruteforce makes."""
+    _check_sweep(tower, fp, size_bound)
+    _check_mode(check)
+    return divisors_of_xn_minus_1(fp)
 
 
 def _order_pairs(
-    tower: FieldTower, fp: FactoredPoly, check: str, size_bound: int
-) -> Iterator[tuple[FFElement, FqPoly, FqPoly]]:
-    """Every element with its order and its character's definitional order."""
-    _check_size(tower, size_bound)
+    tower: FieldTower, fp: FactoredPoly, divisors: tuple[FqPoly, ...], check: str
+) -> Iterator[tuple[int, FqPoly, FqPoly]]:
+    """Every element value with its order and its character's definitional order."""
     for v in range(tower.size):
-        x = FFElement(tower, v)
-        char_order = char_order_bruteforce(AdditiveCharacter(x), fp, check=check)
-        yield x, fq_order(x, fp), char_order
+        yield v, _fq_order_i(tower, fp, v), _char_order_i(tower, divisors, v, check)
 
 
 def elements_by_order(
@@ -76,13 +90,12 @@ def elements_by_order(
 
     Every divisor of x^n - 1 is realized, by phi_q(f) > 0 elements each.
     """
-    _check_size(tower, size_bound)
+    _check_sweep(tower, fp, size_bound)
     partition: dict[FqPoly, set[FFElement]] = {
         f: set() for f in divisors_of_xn_minus_1(fp)
     }
     for v in range(tower.size):
-        x = FFElement(tower, v)
-        partition[fq_order(x, fp)].add(x)
+        partition[_fq_order_i(tower, fp, v)].add(FFElement(tower, v))
     return partition
 
 
@@ -102,19 +115,17 @@ def characters_by_order(
     """
     if mode not in ("oracle", "fast"):
         raise ValueError("mode must be 'oracle' or 'fast'")
-    _check_size(tower, size_bound)
     if mode == "fast":
         by_element = elements_by_order(tower, fp, size_bound=size_bound)
         return {
             f: {AdditiveCharacter(a) for a in by_element[monic_reciprocal(f)]}
             for f in divisors_of_xn_minus_1(fp)
         }
-    partition: dict[FqPoly, set[AdditiveCharacter]] = {
-        f: set() for f in divisors_of_xn_minus_1(fp)
-    }
+    divisors = _scan_divisors(tower, fp, check, size_bound)
+    partition: dict[FqPoly, set[AdditiveCharacter]] = {f: set() for f in divisors}
     for v in range(tower.size):
-        chi = AdditiveCharacter(FFElement(tower, v))
-        partition[char_order_bruteforce(chi, fp, check=check)].add(chi)
+        order = _char_order_i(tower, divisors, v, check)
+        partition[order].add(AdditiveCharacter(FFElement(tower, v)))
     return partition
 
 
@@ -146,8 +157,11 @@ def orders_coincide_iff_self_reciprocal(
     The character order is computed by the definitional scan so the check
     does not assume the reciprocal relation it is probing.
     """
-    for x, m, char_order in _order_pairs(tower, fp, check, size_bound):
-        if (char_order == m) != is_self_reciprocal(m):
+    divisors = _scan_divisors(tower, fp, check, size_bound)
+    self_reciprocal = {g: is_self_reciprocal(g) for g in divisors}
+    for v, m, char_order in _order_pairs(tower, fp, divisors, check):
+        if (char_order == m) != self_reciprocal[m]:
+            x = FFElement(tower, v)
             return CoincidenceCheck(holds=False, counterexample=(x, m, char_order))
     return CoincidenceCheck(holds=True, counterexample=None)
 
@@ -179,11 +193,12 @@ def reciprocal_order_sweep(
     check: str = "basis",
     size_bound: int = DEFAULT_SIZE_BOUND,
 ) -> ReciprocalOrderSweep:
+    divisors = _scan_divisors(tower, fp, check, size_bound)
+    reciprocal = {g: monic_reciprocal(g) for g in divisors}
     mismatches = []
-    for x, m, scanned in _order_pairs(tower, fp, check, size_bound):
-        reversed_order = monic_reciprocal(m)
-        if scanned != reversed_order:
-            mismatches.append((x, scanned, reversed_order))
+    for v, m, scanned in _order_pairs(tower, fp, divisors, check):
+        if scanned != reciprocal[m]:
+            mismatches.append((FFElement(tower, v), scanned, reciprocal[m]))
     return ReciprocalOrderSweep(
         p=tower.p,
         s=tower.s,
@@ -279,14 +294,11 @@ def find_primitive_normal(
     field without a hit is therefore a loud arithmetic failure, not a
     normal outcome.
     """
-    _check_size(tower, size_bound)
+    _check_sweep(tower, fp, size_bound)
     full = fp.expand()
     for v in tower.enumerate_values():
-        if not tower.is_primitive_i(v):
-            continue
-        x = FFElement(tower, v)
-        if fq_order(x, fp) == full:
-            return x
+        if tower.is_primitive_i(v) and _fq_order_i(tower, fp, v) == full:
+            return FFElement(tower, v)
     raise PrimitiveNormalNotFoundError(
         f"no primitive normal element in F_{tower.q}^{tower.n}; arithmetic is broken"
     )
@@ -337,14 +349,13 @@ def classification_report(
     element_counts: Counter[FqPoly] = Counter()
     char_counts: Counter[FqPoly] = Counter()
     if mode == "oracle":
-        for _, m, char_order in _order_pairs(tower, fp, check, size_bound):
+        divisors = _scan_divisors(tower, fp, check, size_bound)
+        for _, m, char_order in _order_pairs(tower, fp, divisors, check):
             element_counts[m] += 1
             char_counts[char_order] += 1
     else:
-        _check_size(tower, size_bound)
-        element_counts.update(
-            fq_order(FFElement(tower, v), fp) for v in range(tower.size)
-        )
+        _check_sweep(tower, fp, size_bound)
+        element_counts.update(_fq_order_i(tower, fp, v) for v in range(tower.size))
         for m, count in element_counts.items():
             char_counts[monic_reciprocal(m)] = count
     rows = []

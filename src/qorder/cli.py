@@ -29,11 +29,10 @@ from .classify import (
     orders_coincide_iff_self_reciprocal,
     reciprocal_order_sweep,
 )
-from .action import fq_order, is_normal
+from .action import fq_order
 from .errors import NonPrimeError, ParseError, PrimitiveNormalNotFoundError, QOrderError
 from .fields import (
     DEFAULT_SIZE_BOUND,
-    FFElement,
     base_field,
     build_tower,
     element_tokens,
@@ -374,7 +373,8 @@ def cmd_pnbt(config: CommandConfig) -> ReportDocument:
     counterexamples = []
     for p, s, n, tower, fp in _field_entries(config):
         element = find_primitive_normal(tower, fp, size_bound=config.size_bound)
-        normal_count = sum(is_normal(FFElement(tower, v), fp) for v in range(tower.size))
+        report = classification_report(tower, fp, mode="fast", size_bound=config.size_bound)
+        normal_count = report.rows[-1].element_count  # the last divisor is x^n - 1
         phi_full = phi_q(fp)
         rows.append(
             {

@@ -329,10 +329,15 @@ class FieldTower:
         if p == 2:
             return tuple(images)
         w = (total * (p - 1) ** 2).bit_length()
-        return tuple(
-            sum(d << w * t for t, d in enumerate(itertools.chain(*self.coords(v))))
-            for v in images
-        )
+        cols = []
+        for v in images:
+            col = shift = 0
+            while v:
+                v, d = divmod(v, p)
+                col |= d << shift
+                shift += w
+            cols.append(col)
+        return tuple(cols)
 
     def _combine(self, cols: tuple[int, ...], x: int) -> int:
         """Apply the map with columns cols (from _linear) to x."""

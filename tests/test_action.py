@@ -26,7 +26,6 @@ from qorder import (
     is_normal,
     linearized_eval,
     monic_reciprocal,
-    order_record,
     phi_q,
     smallest_irreducible,
     trace_to_prime,
@@ -188,13 +187,6 @@ class TestIsNormal:
         for t, fp in small_grid:
             count = sum(is_normal(FFElement(t, v), fp) for v in range(t.size))
             assert count == phi_q(fp) > 0
-
-    def test_order_record(self, f4):
-        t, fp = f4
-        rec = order_record(FFElement(t, 2), fp)
-        assert rec.order == FqPoly(F2, (1, 0, 1))
-        assert rec.is_normal
-        assert rec.element.value == 2
 
 
 class TestAdjointAction:

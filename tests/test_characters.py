@@ -17,7 +17,6 @@ from qorder import (
     char_mul,
     char_order_bruteforce,
     char_order_fast,
-    char_order_report,
     divisors_of_xn_minus_1,
     factor_xn_minus_1,
     fq_order,
@@ -274,12 +273,6 @@ class TestCharacterOrders:
             full = FqPoly.x_pow_minus_one(t.base, t.n)
             for chi in all_chars(t):
                 assert (full % char_order_bruteforce(chi, fp)).is_zero
-
-    def test_report(self, f4):
-        t, fp = f4
-        rep = char_order_report(AdditiveCharacter(FFElement(t, 3)), fp)
-        assert rep.agree
-        assert rep.order_bruteforce == rep.order_fast == FqPoly(F2, (1, 0, 1))
 
     def test_annihilation_reduction_via_reciprocal(self, small_grid):
         # g annihilates chi_a exactly when g* annihilates the label a

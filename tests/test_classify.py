@@ -1,3 +1,6 @@
+import json
+from collections import Counter
+
 import pytest
 
 from qorder import (
@@ -16,6 +19,7 @@ from qorder import (
     characters_by_order,
     classification_report,
     divisors_of_xn_minus_1,
+    element_tokens,
     elements_by_order,
     factor_xn_minus_1,
     find_primitive_normal,
@@ -31,7 +35,11 @@ from qorder import (
     reciprocal_order_sweep,
     smallest_irreducible,
 )
+from qorder import classify
+from qorder.cli import main
 from qorder.errors import SizeExceededError
+
+from conftest import tower_and_factors
 
 F2 = base_field(2)
 
@@ -327,3 +335,98 @@ def test_verification_grid_shape():
     assert (2, 1, 10) in VERIFICATION_GRID
     assert (3, 2, 3) in VERIFICATION_GRID
     assert all(p ** (s * n) <= 1024 for p, s, n in VERIFICATION_GRID)
+
+
+def _orders(t, fp):
+    """(element, element order, definitional character order), in range order."""
+    for v in range(t.size):
+        x = FFElement(t, v)
+        yield x, fq_order(x, fp), char_order_bruteforce(AdditiveCharacter(x), fp)
+
+
+def _cli_json(capsys, p, s, n, command):
+    code = main(["--p", str(p), "--s", str(s), "--n", str(n), "--format", "json", command])
+    return code, json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("p,s,n", [(2, 1, 4), (3, 1, 2)])
+class TestSweepFailurePath:
+    # Every divisor of x^n - 1 is self-reciprocal on these fields, so the sweeps
+    # pass; a wrong answer for x^n - 1 alone must surface as exactly the elements
+    # of that order, found on the sweep's own per-divisor lookups.
+
+    def test_wrong_reciprocal_gives_mismatches_in_range_order(
+        self, p, s, n, monkeypatch, capsys
+    ):
+        t, fp = tower_and_factors(p, s, n)
+        full, one = fp.expand(), FqPoly.one(t.base)
+
+        def wrong(f):
+            return one if f == full else monic_reciprocal(f)
+
+        expected = [
+            (x, scanned, wrong(m)) for x, m, scanned in _orders(t, fp) if scanned != wrong(m)
+        ]
+        assert [x for x, _, _ in expected] == [
+            FFElement(t, v) for v in range(t.size) if is_normal(FFElement(t, v), fp)
+        ]
+        monkeypatch.setattr(classify, "monic_reciprocal", wrong)
+        sweep = reciprocal_order_sweep(t, fp)
+        assert not sweep.passed and sweep.total == t.size
+        assert list(sweep.mismatches) == expected
+        for x, scanned, reversed_order in sweep.mismatches:
+            assert isinstance(x, FFElement)
+            assert isinstance(scanned, FqPoly) and isinstance(reversed_order, FqPoly)
+        code, doc = _cli_json(capsys, p, s, n, "verify-theorem")
+        assert code == 1 and doc["verdict"] == "fail"
+        assert [ce["label"] for ce in doc["counterexamples"]] == [
+            element_tokens(x) for x, _, _ in expected
+        ]
+
+    def test_wrong_self_reciprocity_gives_first_violation(
+        self, p, s, n, monkeypatch, capsys
+    ):
+        t, fp = tower_and_factors(p, s, n)
+        full = fp.expand()
+
+        def wrong(f):
+            return f != full and is_self_reciprocal(f)
+
+        first = next(
+            (x, m, c) for x, m, c in _orders(t, fp) if (c == m) != wrong(m)
+        )
+        assert first[1] == full and first[0].value > 0
+        monkeypatch.setattr(classify, "is_self_reciprocal", wrong)
+        result = orders_coincide_iff_self_reciprocal(t, fp)
+        assert not result.holds and result.counterexample == first
+        code, doc = _cli_json(capsys, p, s, n, "corollary1")
+        assert code == 1 and doc["verdict"] == "fail"
+        [ce] = doc["counterexamples"]
+        assert ce["label"] == element_tokens(first[0])
+
+
+def test_sweeps_wrap_no_element_per_element(monkeypatch, capsys):
+    # the sweeps run on ints: FFElement and AdditiveCharacter only for results
+    t, fp = tower_and_factors(2, 1, 6)
+    built = Counter()
+
+    def count_inits(cls):
+        init = cls.__init__
+
+        def counted(self, *args, **kwargs):
+            built[cls.__name__] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+
+    count_inits(FFElement)
+    count_inits(AdditiveCharacter)
+    assert reciprocal_order_sweep(t, fp).passed
+    assert reciprocal_order_sweep(t, fp, check="exhaustive").passed
+    assert orders_coincide_iff_self_reciprocal(t, fp).holds
+    for mode in ("oracle", "fast"):
+        assert classification_report(t, fp, mode=mode).rows
+    assert not built
+    assert main(["--p", "2", "--n", "6", "pnbt"]) == 0
+    assert "verdict: pass" in capsys.readouterr().out
+    assert built == Counter({"FFElement": 1})  # the primitive normal element found

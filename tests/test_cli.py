@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import qorder
 from qorder.classify import MEYN_SWEEP_MAX_N
 from qorder.cli import main
 from qorder.errors import PrimitiveNormalNotFoundError
@@ -436,12 +439,21 @@ class TestReportPlumbing:
         assert str(exc) in err
 
 
+def child_env():
+    """The environment of a `python -m qorder` child that imports the qorder under test."""
+    path = [str(Path(qorder.__file__).resolve().parents[1])]
+    if os.environ.get("PYTHONPATH"):
+        path.append(os.environ["PYTHONPATH"])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+
+
 def test_closed_stdout_exits_141():
     # the reader is gone before the report is written, as with `| head -1`
     proc = subprocess.Popen(
         [sys.executable, "-m", "qorder", "--p", "2", "--n", "2", "verify-theorem"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
+        env=child_env(),
     )
     proc.stdout.close()
     err = proc.stderr.read()
@@ -454,6 +466,7 @@ def test_module_invocation_smoke():
         [sys.executable, "-m", "qorder", "--p", "2", "--n", "2", "verify-theorem"],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
     assert proc.returncode == 0
     assert "verdict: pass" in proc.stdout
