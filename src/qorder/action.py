@@ -8,6 +8,8 @@ and the elements of maximal order x^n - 1 are exactly the normal ones.
 
 from __future__ import annotations
 
+from typing import Callable
+
 from .errors import (
     DegreeTooLargeError,
     FieldMismatchError,
@@ -29,23 +31,29 @@ def _action_sum(tower: FieldTower, coeffs: tuple[int, ...], xv: int) -> int:
     acc = 0
     for i, a in enumerate(coeffs):
         if a:
-            acc = tower.add_i(acc, tower.mul_i(a, tower.frob_i(xv, i)))
+            y = tower.frob_i(xv, i)
+            acc = tower.add_i(acc, y if a == 1 else tower.mul_i(a, y))
     return acc
 
 
-def _apply_i(tower: FieldTower, coeffs: tuple[int, ...], xv: int) -> int:
-    """Integer-encoded action: sum of a_i * x^(q^i).
+def _action_matrix(tower: FieldTower, coeffs: tuple[int, ...]) -> tuple[int, ...]:
+    """A_g, the F_p-matrix of x -> sum of a_i * x^(q^i), for g = sum a_i x^i.
 
-    On every tower it is an F_p-matrix, built once per polynomial by
-    _action_sum and kept in the tower's action cache under coeffs
-    (characters.py keys its per-divisor data by (coeffs, check)).
+    It is built once per polynomial by _action_sum and kept in the tower's
+    action cache under coeffs (characters.py keys its per-divisor data by
+    (coeffs, check)).
     """
     cols = tower._action_cache.get(coeffs)
     if cols is None:
         cols = tower._action_cache[coeffs] = tower._linear(
             lambda b: _action_sum(tower, coeffs, b)
         )
-    return tower._combine(cols, xv)
+    return cols
+
+
+def _apply_i(tower: FieldTower, coeffs: tuple[int, ...], xv: int) -> int:
+    """Integer-encoded action: sum of a_i * x^(q^i)."""
+    return tower._combine(_action_matrix(tower, coeffs), xv)
 
 
 def apply_action(g: FqPoly, x: FFElement) -> FFElement:
@@ -88,16 +96,30 @@ def adjoint_action(g: FqPoly, x: FFElement) -> FFElement:
     return FFElement(tower, _apply_i(tower, tuple(coeffs), x.value))
 
 
-def _fq_order_i(tower: FieldTower, fp: FactoredPoly, xv: int) -> FqPoly:
-    """fq_order of the value xv, with no check that fp belongs to the tower."""
+def _fq_order_i(
+    fp: FactoredPoly, annihilates: Callable[[tuple[int, ...]], bool]
+) -> FqPoly:
+    """The factor-stripping loop of fq_order, for one element.
+
+    annihilates(exps) says whether fp.divisor(exps) annihilates the element;
+    fq_order applies the action matrix, and the sweeps in classify.py look the
+    element up in the divisor's kernel tables.
+    """
     exps = [e for _, e in fp.factors]
     for idx in range(len(exps)):
         while exps[idx] > 0:
             exps[idx] -= 1
-            if _apply_i(tower, fp.divisor(tuple(exps)).coeffs, xv) != 0:
+            if not annihilates(tuple(exps)):
                 exps[idx] += 1
                 break
     return fp.divisor(tuple(exps))
+
+
+def _action_test(
+    tower: FieldTower, fp: FactoredPoly, xv: int
+) -> Callable[[tuple[int, ...]], bool]:
+    """The test fq_order gives _fq_order_i: apply the divisor's action matrix to xv."""
+    return lambda exps: _apply_i(tower, fp.divisor(exps).coeffs, xv) == 0
 
 
 def fq_order(x: FFElement, fp: FactoredPoly) -> FqPoly:
@@ -109,7 +131,7 @@ def fq_order(x: FFElement, fp: FactoredPoly) -> FqPoly:
     with m . x = 0 and (m/P) . x != 0 for every irreducible P | m.
     """
     _check_coeff_field(fp, x.tower)
-    return _fq_order_i(x.tower, fp, x.value)
+    return _fq_order_i(fp, _action_test(x.tower, fp, x.value))
 
 
 def is_normal(x: FFElement, fp: FactoredPoly) -> bool:

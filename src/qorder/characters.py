@@ -14,12 +14,15 @@ Tr(a * (g . x)) at the n*s basis points x are the entries of one F_p-matrix
 M_g applied to a, built once per divisor from the trace Gram matrix and the
 action matrix.  Exhaustive mode evaluates Tr(a * v) at every distinct value
 v = g . x over the whole field.  Neither uses the reciprocal relation that
-the fast path rests on.
+the fast path rests on.  A single query applies M_g to the label; the sweeps
+in classify.py hand the same scan, _char_order_i, a table lookup per divisor
+instead (FieldTower._kernel_tables), with M_g resolved once per sweep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Iterable, TypeVar
 
 from .action import _apply_i, _check_coeff_field, apply_action, fq_order
 from .errors import FieldMismatchError
@@ -32,6 +35,8 @@ from .poly import (
 )
 
 _CHECK_MODES = ("basis", "exhaustive")
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -146,15 +151,17 @@ def char_annihilated_by(
 
 
 def _char_order_i(
-    tower: FieldTower, divisors: tuple[FqPoly, ...], lab: int, check: str
+    scan: Iterable[tuple[FqPoly, _T]], annihilates: Callable[[_T], bool]
 ) -> FqPoly:
-    """The first of divisors that annihilates the character labeled lab.
+    """The divisor scan of char_order_bruteforce, for one character.
 
-    The scan of char_order_bruteforce, with none of its checks: divisors are
-    those of x^n - 1 over the tower's base field, in (degree, lex) order.
+    scan pairs each divisor g of x^n - 1, in (degree, lex) order, with the
+    data that annihilates needs to test g on the character; the first g that
+    passes is returned.  char_order_bruteforce passes g's coefficients to
+    _annihilates, and the basis sweeps in classify.py the kernel tables of M_g.
     """
-    for g in divisors:
-        if _annihilates(tower, g.coeffs, lab, check):
+    for g, data in scan:
+        if annihilates(data):
             return g
     raise AssertionError("x^n - 1 annihilates every character")
 
@@ -174,7 +181,9 @@ def char_order_bruteforce(
     tower = chi.tower
     _check_coeff_field(fp, tower)
     _check_mode(check)
-    return _char_order_i(tower, divisors_of_xn_minus_1(fp), chi.label.value, check)
+    scan = ((g, g.coeffs) for g in divisors_of_xn_minus_1(fp))
+    lab = chi.label.value
+    return _char_order_i(scan, lambda coeffs: _annihilates(tower, coeffs, lab, check))
 
 
 def char_order_fast(chi: AdditiveCharacter, fp: FactoredPoly) -> FqPoly:

@@ -10,16 +10,31 @@ order kernels of action.py and characters.py on the elements as plain ints;
 per-divisor data such as reciprocals is looked up once per divisor.  Elements
 and characters are wrapped in FFElement and AdditiveCharacter only where a
 result holds them: partitions, counterexamples, the element found.
+
+Every test in those kernels asks whether an element lies in the kernel of an
+F_p-matrix: A_g for the element order, M_g for the character order.  Before
+its element loop a sweep resolves each matrix it can meet to the split tables
+of FieldTower._kernel_tables, so each test is two list lookups and a compare
+on the element's value split once as v = i + j*B.  The exhaustive character
+check still evaluates the trace on each divisor's image, by definition, and
+find_primitive_normal, which stops at its first hit, tests as fq_order does.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
-from .action import _check_coeff_field, _fq_order_i
-from .characters import AdditiveCharacter, _char_order_i, _check_mode
+from .action import _action_matrix, _action_test, _check_coeff_field, _fq_order_i
+from .characters import (
+    AdditiveCharacter,
+    _annihilates,
+    _char_order_i,
+    _check_mode,
+    _trace_form_matrix,
+)
 from .errors import PrimitiveNormalNotFoundError, SizeExceededError, ZeroElementError
 from .fields import DEFAULT_SIZE_BOUND, FFElement, FieldTower, base_field
 from .integers import factorize, prime_power_decomposition
@@ -72,12 +87,60 @@ def _scan_divisors(
     return divisors_of_xn_minus_1(fp)
 
 
+def _element_order(tower: FieldTower, fp: FactoredPoly) -> Callable[[int], FqPoly]:
+    """fq_order on values, each divisor's test resolved to its kernel tables once.
+
+    _fq_order_i can test every divisor but x^n - 1 itself, so the tables of
+    every other divisor's action matrix are built before the first element.
+    """
+    full = tuple(e for _, e in fp.factors)
+    tables = {
+        exps: tower._kernel_tables(_action_matrix(tower, fp.divisor(exps).coeffs))
+        for exps in itertools.product(*(range(e + 1) for e in full))
+        if exps != full
+    }
+    half = tower.p ** (tower.n * tower.s // 2)  # B of _kernel_tables
+
+    def order(v: int) -> FqPoly:
+        j, i = divmod(v, half)
+        return _fq_order_i(fp, lambda exps: (t := tables[exps])[0][i] == t[1][j])
+
+    return order
+
+
+def _char_order(
+    tower: FieldTower, divisors: tuple[FqPoly, ...], check: str
+) -> Callable[[int], FqPoly]:
+    """char_order_bruteforce on labels, its scan resolved once.
+
+    check="basis" tests each divisor g by the kernel tables of M_g;
+    check="exhaustive" evaluates the trace on g's image, as char_annihilated_by does.
+    """
+    if check == "exhaustive":
+        scan = [(g, g.coeffs) for g in divisors]
+        return lambda v: _char_order_i(
+            scan, lambda coeffs: _annihilates(tower, coeffs, v, check)
+        )
+    kernels = [
+        (g, tower._kernel_tables(_trace_form_matrix(tower, g.coeffs))) for g in divisors
+    ]
+    half = tower.p ** (tower.n * tower.s // 2)  # B of _kernel_tables
+
+    def order(v: int) -> FqPoly:
+        j, i = divmod(v, half)
+        return _char_order_i(kernels, lambda t: t[0][i] == t[1][j])
+
+    return order
+
+
 def _order_pairs(
     tower: FieldTower, fp: FactoredPoly, divisors: tuple[FqPoly, ...], check: str
 ) -> Iterator[tuple[int, FqPoly, FqPoly]]:
     """Every element value with its order and its character's definitional order."""
+    element_order = _element_order(tower, fp)
+    char_order = _char_order(tower, divisors, check)
     for v in range(tower.size):
-        yield v, _fq_order_i(tower, fp, v), _char_order_i(tower, divisors, v, check)
+        yield v, element_order(v), char_order(v)
 
 
 def elements_by_order(
@@ -94,8 +157,9 @@ def elements_by_order(
     partition: dict[FqPoly, set[FFElement]] = {
         f: set() for f in divisors_of_xn_minus_1(fp)
     }
+    order = _element_order(tower, fp)
     for v in range(tower.size):
-        partition[_fq_order_i(tower, fp, v)].add(FFElement(tower, v))
+        partition[order(v)].add(FFElement(tower, v))
     return partition
 
 
@@ -123,9 +187,9 @@ def characters_by_order(
         }
     divisors = _scan_divisors(tower, fp, check, size_bound)
     partition: dict[FqPoly, set[AdditiveCharacter]] = {f: set() for f in divisors}
+    order = _char_order(tower, divisors, check)
     for v in range(tower.size):
-        order = _char_order_i(tower, divisors, v, check)
-        partition[order].add(AdditiveCharacter(FFElement(tower, v)))
+        partition[order(v)].add(AdditiveCharacter(FFElement(tower, v)))
     return partition
 
 
@@ -296,8 +360,10 @@ def find_primitive_normal(
     """
     _check_sweep(tower, fp, size_bound)
     full = fp.expand()
+    # the search stops at its first hit, so it tests lazily, as fq_order does:
+    # building every divisor's kernel tables would cost more than the search
     for v in tower.enumerate_values():
-        if tower.is_primitive_i(v) and _fq_order_i(tower, fp, v) == full:
+        if tower.is_primitive_i(v) and _fq_order_i(fp, _action_test(tower, fp, v)) == full:
             return FFElement(tower, v)
     raise PrimitiveNormalNotFoundError(
         f"no primitive normal element in F_{tower.q}^{tower.n}; arithmetic is broken"
@@ -355,7 +421,7 @@ def classification_report(
             char_counts[char_order] += 1
     else:
         _check_sweep(tower, fp, size_bound)
-        element_counts.update(_fq_order_i(tower, fp, v) for v in range(tower.size))
+        element_counts.update(map(_element_order(tower, fp), range(tower.size)))
         for m, count in element_counts.items():
             char_counts[monic_reciprocal(m)] = count
     rows = []

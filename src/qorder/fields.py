@@ -20,7 +20,10 @@ F_q coefficient lists otherwise.  Under + F_{q^n} is F_p^(n*s), so addition
 is F_p digit arithmetic: XOR for p = 2, one loop over base-p digits otherwise.
 F_p-linear maps (Frobenius, the trace, the Gram matrix Tr(p^i * p^j) of the
 trace form, and the module action in action.py) are matrices on every tower,
-built once and applied by _combine.
+built once and applied by _combine.  A sweep over the whole field asks only
+whether each element lies in a matrix's kernel; _kernel_tables answers that
+with two list lookups, from tables of about twice the square root of the
+field size per matrix.
 """
 
 from __future__ import annotations
@@ -357,6 +360,22 @@ class FieldTower:
         for shift in range(w * (len(cols) - 1), -1, -w):
             value = value * p + (acc >> shift & mask) % p
         return value
+
+    def _kernel_tables(self, cols: tuple[int, ...]) -> tuple[list[int], list[int]]:
+        """Split tables (lo, hi) for membership of every x in the kernel of A = cols.
+
+        With B = p^floor(n*s/2), lo[i] = A i for i < B and hi[j] = -A (j*B), so
+        A x = 0 exactly when lo[x % B] == hi[x // B]: A is F_p-linear and x % B,
+        (x // B) * B are the low and high base-p digits of x.  The two lists hold
+        p^floor(n*s/2) + p^ceil(n*s/2) entries, about twice the square root of the
+        field size, which suits sweeps over the whole field (the table method of
+        Arlazarov, Dinic, Kronrod and Faradzev, 1970).
+        """
+        combine, neg_i = self._combine, self.neg_i
+        half = self.p ** (self.n * self.s // 2)
+        lo = [combine(cols, i) for i in range(half)]
+        hi = [neg_i(combine(cols, j * half)) for j in range(self.size // half)]
+        return lo, hi
 
     def _transpose(self, cols: tuple[int, ...]) -> tuple[int, ...]:
         """The columns of the transposed map, from and to the layout of _linear."""

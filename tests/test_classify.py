@@ -36,10 +36,13 @@ from qorder import (
     smallest_irreducible,
 )
 from qorder import classify
+from qorder.action import _action_matrix
+from qorder.characters import _trace_form_matrix
 from qorder.cli import main
 from qorder.errors import SizeExceededError
 
 from conftest import tower_and_factors
+from test_action import towers_on_both_paths
 
 F2 = base_field(2)
 
@@ -430,3 +433,107 @@ def test_sweeps_wrap_no_element_per_element(monkeypatch, capsys):
     assert main(["--p", "2", "--n", "6", "pnbt"]) == 0
     assert "verdict: pass" in capsys.readouterr().out
     assert built == Counter({"FFElement": 1})  # the primitive normal element found
+
+
+# Fields whose kernel tables split n*s evenly, unevenly, or not at all (n*s = 1),
+# at p = 2 and odd p, with s = 1 and s > 1.
+KERNEL_TABLE_FIELDS = [
+    (2, 1, 1),
+    (3, 1, 1),
+    (2, 1, 5),
+    (3, 1, 3),
+    (5, 1, 3),
+    (2, 3, 1),
+    (2, 2, 3),
+    (3, 2, 2),
+]
+
+
+@pytest.mark.parametrize("p,s,n", KERNEL_TABLE_FIELDS)
+def test_kernel_tables_match_combine(p, s, n):
+    # for A_g and M_g of every divisor, on the log-table tower and on the same
+    # tower multiplying coefficient vectors: x is in the kernel by the tables
+    # exactly when the matrix maps it to 0, and each kernel has q^deg g elements
+    tables, vectors, fp = towers_on_both_paths(p, s, n)
+    half = p ** (n * s // 2)
+    for t in (tables, vectors):
+        for g in divisors_of_xn_minus_1(fp):
+            for cols in (_action_matrix(t, g.coeffs), _trace_form_matrix(t, g.coeffs)):
+                lo, hi = t._kernel_tables(cols)
+                assert len(lo) == half and len(lo) * len(hi) == t.size
+                members = [lo[x % half] == hi[x // half] for x in range(t.size)]
+                assert members == [t._combine(cols, x) == 0 for x in range(t.size)]
+                assert sum(members) == t.q**g.degree, str(g)
+
+
+@pytest.mark.parametrize("corrupt", ["action", "trace form"])
+@pytest.mark.parametrize("p,s,n", [(2, 1, 4), (3, 1, 3), (2, 2, 2)])
+def test_corrupted_kernel_table_shows_in_the_sweeps(p, s, n, corrupt, monkeypatch):
+    # divisor 1 has the identity as action matrix and the Gram matrix as M_1, both
+    # with kernel {0}; lo[0] = -1 in one of their tables drops 0 from that kernel
+    # alone, so the sweep that reads it disagrees with the per-element route on
+    # the element 0 only
+    t, fp = tower_and_factors(p, s, n)
+    one = FqPoly.one(t.base).coeffs
+    matrix = {"action": _action_matrix, "trace form": _trace_form_matrix}[corrupt](t, one)
+    assert _action_matrix(t, one) != _trace_form_matrix(t, one)
+    build = FieldTower._kernel_tables
+
+    def corrupted(self, cols):
+        lo, hi = build(self, cols)
+        if cols == matrix:
+            lo[0] = -1
+        return lo, hi
+
+    monkeypatch.setattr(FieldTower, "_kernel_tables", corrupted)
+    elements = [FFElement(t, v) for v in range(t.size)]
+    if corrupt == "action":
+        expected = {x: fq_order(x, fp) for x in elements}
+        partition = elements_by_order(t, fp)
+    else:
+        expected = {x: char_order_bruteforce(AdditiveCharacter(x), fp) for x in elements}
+        partition = {
+            f: {chi.label for chi in chis}
+            for f, chis in characters_by_order(t, fp, mode="oracle").items()
+        }
+    assert expected[elements[0]] == FqPoly.one(t.base)
+    assert [x for f, xs in partition.items() for x in xs if expected[x] != f] == [elements[0]]
+    sweep = reciprocal_order_sweep(t, fp)
+    assert [x for x, _, _ in sweep.mismatches] == [elements[0]]
+
+
+@pytest.mark.parametrize("p,s,n", [*VERIFICATION_GRID, (2, 1, 11), (3, 1, 7)])
+def test_sweeps_match_per_element_routes(p, s, n):
+    # element by element, the table-backed sweeps against fq_order and
+    # char_order_bruteforce; F_{2^11} and F_{3^7} split n*s unevenly and are built
+    # without log tables, so they multiply coefficient vectors
+    if (p, s, n) in VERIFICATION_GRID:
+        t, fp = tower_and_factors(p, s, n)
+    else:
+        base = base_field(p, s)
+        t, fp = FieldTower(base, smallest_irreducible(base, n)), factor_xn_minus_1(n, base)
+        assert t._exp is None
+    elements = [FFElement(t, v) for v in range(t.size)]
+    order = {x: fq_order(x, fp) for x in elements}
+    partition = elements_by_order(t, fp)
+    assert {x: f for f, xs in partition.items() for x in xs} == order
+    counts = Counter(order.values())
+    for check in ("basis", "exhaustive"):
+        char_order = {
+            x: char_order_bruteforce(AdditiveCharacter(x), fp, check=check) for x in elements
+        }
+        chars = characters_by_order(t, fp, mode="oracle", check=check)
+        assert {chi.label: f for f, chis in chars.items() for chi in chis} == char_order
+        sweep = reciprocal_order_sweep(t, fp, check=check)
+        assert list(sweep.mismatches) == [
+            (x, char_order[x], monic_reciprocal(order[x]))
+            for x in elements
+            if char_order[x] != monic_reciprocal(order[x])
+        ]
+        report = classification_report(t, fp, check=check)
+        char_counts = Counter(char_order.values())
+        assert [(r.element_count, r.char_count) for r in report.rows] == [
+            (counts[r.divisor], char_counts[r.divisor]) for r in report.rows
+        ]
+    fast = classification_report(t, fp, mode="fast")
+    assert [r.element_count for r in fast.rows] == [counts[r.divisor] for r in fast.rows]
