@@ -4,6 +4,11 @@ A polynomial g = sum a_i x^i acts on an element by g . x = sum a_i x^(q^i),
 an F_q-linear map (the linearized form of g).  The annihilator of any x is
 an ideal containing x^n - 1; its monic generator is the element's order,
 and the elements of maximal order x^n - 1 are exactly the normal ones.
+
+Orders are read per irreducible factor from the co-divisors (x^n - 1)/P^j,
+the same for every element (see fq_order).  A query applies their action
+matrices (_fq_order_i); a sweep looks elements up in their kernel tables
+(_element_order).
 """
 
 from __future__ import annotations
@@ -96,42 +101,55 @@ def adjoint_action(g: FqPoly, x: FFElement) -> FFElement:
     return FFElement(tower, _apply_i(tower, tuple(coeffs), x.value))
 
 
-def _fq_order_i(
-    fp: FactoredPoly, annihilates: Callable[[tuple[int, ...]], bool]
-) -> FqPoly:
-    """The factor-stripping loop of fq_order, for one element.
-
-    annihilates(exps) says whether fp.divisor(exps) annihilates the element;
-    fq_order applies the action matrix, and the sweeps in classify.py look the
-    element up in the divisor's kernel tables.
-    """
-    exps = [e for _, e in fp.factors]
-    for idx in range(len(exps)):
-        while exps[idx] > 0:
-            exps[idx] -= 1
-            if not annihilates(tuple(exps)):
-                exps[idx] += 1
+def _fq_order_i(tower: FieldTower, fp: FactoredPoly, xv: int) -> FqPoly:
+    """fq_order on a value, through the co-divisors' cached action matrices."""
+    exps = []
+    for (_, e), row in zip(fp.factors, fp.codivisors):
+        for g in row:
+            if _apply_i(tower, g.coeffs, xv):
                 break
+            e -= 1
+        exps.append(e)
     return fp.divisor(tuple(exps))
 
 
-def _action_test(
-    tower: FieldTower, fp: FactoredPoly, xv: int
-) -> Callable[[tuple[int, ...]], bool]:
-    """The test fq_order gives _fq_order_i: apply the divisor's action matrix to xv."""
-    return lambda exps: _apply_i(tower, fp.divisor(exps).coeffs, xv) == 0
+def _element_order(tower: FieldTower, fp: FactoredPoly) -> Callable[[int], FqPoly]:
+    """_fq_order_i for a sweep: each co-divisor's kernel tables are built once."""
+    rows = [
+        (e, [tower._kernel_tables(_action_matrix(tower, g.coeffs)) for g in row])
+        for (_, e), row in zip(fp.factors, fp.codivisors)
+    ]
+    half = tower._kernel_split()
+
+    def order(v: int) -> FqPoly:
+        j, i = divmod(v, half)
+        exps = []
+        for e, tables in rows:
+            for lo, hi in tables:
+                if lo[i] != hi[j]:
+                    break
+                e -= 1
+            exps.append(e)
+        return fp.divisor(tuple(exps))
+
+    return order
+
+
+def _is_normal_i(tower: FieldTower, fp: FactoredPoly, xv: int) -> bool:
+    """is_normal on a value: no (x^n - 1)/P annihilates xv, for P | x^n - 1 irreducible."""
+    return all(_apply_i(tower, row[0].coeffs, xv) for row in fp.codivisors)
 
 
 def fq_order(x: FFElement, fp: FactoredPoly) -> FqPoly:
     """The monic polynomial of least degree annihilating x under the action.
 
-    fp must be the factorization of x^n - 1 for the element's tower.  Starting
-    from the full product, each irreducible factor is stripped while the
-    quotient still annihilates x; the result is the unique monic divisor m
-    with m . x = 0 and (m/P) . x != 0 for every irreducible P | m.
+    fp must be the factorization of x^n - 1 = prod P^e for the element's tower.
+    The annihilator of x is an ideal, so (x^n - 1)/P^j annihilates x exactly
+    for j <= e - k, where P^k is the power of P in the order: P keeps e minus
+    the number of leading j = 1, 2, ... whose co-divisor annihilates x.
     """
     _check_coeff_field(fp, x.tower)
-    return _fq_order_i(fp, _action_test(x.tower, fp, x.value))
+    return _fq_order_i(x.tower, fp, x.value)
 
 
 def is_normal(x: FFElement, fp: FactoredPoly) -> bool:
@@ -139,4 +157,5 @@ def is_normal(x: FFElement, fp: FactoredPoly) -> bool:
 
     Equivalently, the conjugates x, x^q, ..., x^(q^(n-1)) form an F_q-basis.
     """
-    return fq_order(x, fp) == fp.expand()
+    _check_coeff_field(fp, x.tower)
+    return _is_normal_i(x.tower, fp, x.value)

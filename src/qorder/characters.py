@@ -14,15 +14,15 @@ Tr(a * (g . x)) at the n*s basis points x are the entries of one F_p-matrix
 M_g applied to a, built once per divisor from the trace Gram matrix and the
 action matrix.  Exhaustive mode evaluates Tr(a * v) at every distinct value
 v = g . x over the whole field.  Neither uses the reciprocal relation that
-the fast path rests on.  A single query applies M_g to the label; the sweeps
-in classify.py hand the same scan, _char_order_i, a table lookup per divisor
-instead (FieldTower._kernel_tables), with M_g resolved once per sweep.
+the fast path rests on.  A single query applies M_g to the label
+(_char_order_i); a sweep over the whole field builds the kernel tables of
+every M_g once and looks each label up in them (_char_order).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, TypeVar
+from typing import Callable
 
 from .action import _apply_i, _check_coeff_field, apply_action, fq_order
 from .errors import FieldMismatchError
@@ -35,8 +35,6 @@ from .poly import (
 )
 
 _CHECK_MODES = ("basis", "exhaustive")
-
-_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -151,19 +149,34 @@ def char_annihilated_by(
 
 
 def _char_order_i(
-    scan: Iterable[tuple[FqPoly, _T]], annihilates: Callable[[_T], bool]
+    tower: FieldTower, divisors: tuple[FqPoly, ...], lab: int, check: str
 ) -> FqPoly:
-    """The divisor scan of char_order_bruteforce, for one character.
-
-    scan pairs each divisor g of x^n - 1, in (degree, lex) order, with the
-    data that annihilates needs to test g on the character; the first g that
-    passes is returned.  char_order_bruteforce passes g's coefficients to
-    _annihilates, and the basis sweeps in classify.py the kernel tables of M_g.
-    """
-    for g, data in scan:
-        if annihilates(data):
+    """char_order_bruteforce on a label: the first of divisors that annihilates it."""
+    for g in divisors:
+        if _annihilates(tower, g.coeffs, lab, check):
             return g
     raise AssertionError("x^n - 1 annihilates every character")
+
+
+def _char_order(
+    tower: FieldTower, divisors: tuple[FqPoly, ...], check: str
+) -> Callable[[int], FqPoly]:
+    """_char_order_i for a sweep: check="basis" builds each M_g's kernel tables once."""
+    if check == "exhaustive":
+        return lambda v: _char_order_i(tower, divisors, v, check)
+    kernels = [
+        (g, *tower._kernel_tables(_trace_form_matrix(tower, g.coeffs))) for g in divisors
+    ]
+    half = tower._kernel_split()
+
+    def order(v: int) -> FqPoly:
+        j, i = divmod(v, half)
+        for g, lo, hi in kernels:
+            if lo[i] == hi[j]:
+                return g
+        raise AssertionError("x^n - 1 annihilates every character")
+
+    return order
 
 
 def char_order_bruteforce(
@@ -181,9 +194,7 @@ def char_order_bruteforce(
     tower = chi.tower
     _check_coeff_field(fp, tower)
     _check_mode(check)
-    scan = ((g, g.coeffs) for g in divisors_of_xn_minus_1(fp))
-    lab = chi.label.value
-    return _char_order_i(scan, lambda coeffs: _annihilates(tower, coeffs, lab, check))
+    return _char_order_i(tower, divisors_of_xn_minus_1(fp), chi.label.value, check)
 
 
 def char_order_fast(chi: AdditiveCharacter, fp: FactoredPoly) -> FqPoly:

@@ -11,30 +11,19 @@ per-divisor data such as reciprocals is looked up once per divisor.  Elements
 and characters are wrapped in FFElement and AdditiveCharacter only where a
 result holds them: partitions, counterexamples, the element found.
 
-Every test in those kernels asks whether an element lies in the kernel of an
-F_p-matrix: A_g for the element order, M_g for the character order.  Before
-its element loop a sweep resolves each matrix it can meet to the split tables
-of FieldTower._kernel_tables, so each test is two list lookups and a compare
-on the element's value split once as v = i + j*B.  The exhaustive character
-check still evaluates the trace on each divisor's image, by definition, and
-find_primitive_normal, which stops at its first hit, tests as fq_order does.
+The sweep routes of those kernels, action._element_order and
+characters._char_order, build their divisor data once per sweep;
+find_primitive_normal, which stops at its first hit, tests as is_normal does.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
-from .action import _action_matrix, _action_test, _check_coeff_field, _fq_order_i
-from .characters import (
-    AdditiveCharacter,
-    _annihilates,
-    _char_order_i,
-    _check_mode,
-    _trace_form_matrix,
-)
+from .action import _check_coeff_field, _element_order, _is_normal_i
+from .characters import AdditiveCharacter, _char_order, _check_mode
 from .errors import PrimitiveNormalNotFoundError, SizeExceededError, ZeroElementError
 from .fields import DEFAULT_SIZE_BOUND, FFElement, FieldTower, base_field
 from .integers import factorize, prime_power_decomposition
@@ -85,52 +74,6 @@ def _scan_divisors(
     _check_sweep(tower, fp, size_bound)
     _check_mode(check)
     return divisors_of_xn_minus_1(fp)
-
-
-def _element_order(tower: FieldTower, fp: FactoredPoly) -> Callable[[int], FqPoly]:
-    """fq_order on values, each divisor's test resolved to its kernel tables once.
-
-    _fq_order_i can test every divisor but x^n - 1 itself, so the tables of
-    every other divisor's action matrix are built before the first element.
-    """
-    full = tuple(e for _, e in fp.factors)
-    tables = {
-        exps: tower._kernel_tables(_action_matrix(tower, fp.divisor(exps).coeffs))
-        for exps in itertools.product(*(range(e + 1) for e in full))
-        if exps != full
-    }
-    half = tower.p ** (tower.n * tower.s // 2)  # B of _kernel_tables
-
-    def order(v: int) -> FqPoly:
-        j, i = divmod(v, half)
-        return _fq_order_i(fp, lambda exps: (t := tables[exps])[0][i] == t[1][j])
-
-    return order
-
-
-def _char_order(
-    tower: FieldTower, divisors: tuple[FqPoly, ...], check: str
-) -> Callable[[int], FqPoly]:
-    """char_order_bruteforce on labels, its scan resolved once.
-
-    check="basis" tests each divisor g by the kernel tables of M_g;
-    check="exhaustive" evaluates the trace on g's image, as char_annihilated_by does.
-    """
-    if check == "exhaustive":
-        scan = [(g, g.coeffs) for g in divisors]
-        return lambda v: _char_order_i(
-            scan, lambda coeffs: _annihilates(tower, coeffs, v, check)
-        )
-    kernels = [
-        (g, tower._kernel_tables(_trace_form_matrix(tower, g.coeffs))) for g in divisors
-    ]
-    half = tower.p ** (tower.n * tower.s // 2)  # B of _kernel_tables
-
-    def order(v: int) -> FqPoly:
-        j, i = divmod(v, half)
-        return _char_order_i(kernels, lambda t: t[0][i] == t[1][j])
-
-    return order
 
 
 def _order_pairs(
@@ -359,11 +302,10 @@ def find_primitive_normal(
     normal outcome.
     """
     _check_sweep(tower, fp, size_bound)
-    full = fp.expand()
-    # the search stops at its first hit, so it tests lazily, as fq_order does:
-    # building every divisor's kernel tables would cost more than the search
+    # the search stops at its first hit, so it tests lazily, as is_normal does;
+    # normality, a matrix per irreducible factor, rules most elements out first
     for v in tower.enumerate_values():
-        if tower.is_primitive_i(v) and _fq_order_i(fp, _action_test(tower, fp, v)) == full:
+        if _is_normal_i(tower, fp, v) and tower.is_primitive_i(v):
             return FFElement(tower, v)
     raise PrimitiveNormalNotFoundError(
         f"no primitive normal element in F_{tower.q}^{tower.n}; arithmetic is broken"

@@ -361,10 +361,14 @@ class FieldTower:
             value = value * p + (acc >> shift & mask) % p
         return value
 
+    def _kernel_split(self) -> int:
+        """B = p^floor(n*s/2), the split x = (x % B) + (x // B)*B of _kernel_tables."""
+        return self.p ** (self.n * self.s // 2)
+
     def _kernel_tables(self, cols: tuple[int, ...]) -> tuple[list[int], list[int]]:
         """Split tables (lo, hi) for membership of every x in the kernel of A = cols.
 
-        With B = p^floor(n*s/2), lo[i] = A i for i < B and hi[j] = -A (j*B), so
+        With B = _kernel_split(), lo[i] = A i for i < B and hi[j] = -A (j*B), so
         A x = 0 exactly when lo[x % B] == hi[x // B]: A is F_p-linear and x % B,
         (x // B) * B are the low and high base-p digits of x.  The two lists hold
         p^floor(n*s/2) + p^ceil(n*s/2) entries, about twice the square root of the
@@ -372,7 +376,7 @@ class FieldTower:
         Arlazarov, Dinic, Kronrod and Faradzev, 1970).
         """
         combine, neg_i = self._combine, self.neg_i
-        half = self.p ** (self.n * self.s // 2)
+        half = self._kernel_split()
         lo = [combine(cols, i) for i in range(half)]
         hi = [neg_i(combine(cols, j * half)) for j in range(self.size // half)]
         return lo, hi

@@ -442,11 +442,12 @@ class FactoredPoly:
         """The divisor with exponent exps[i] on the i-th irreducible factor."""
         products = self._products
         chain = []  # (exponents, factor) still to multiply out, largest first
-        while exps not in products and any(exps):
+        while (out := products.get(exps)) is None and any(exps):
             i = max(j for j, e in enumerate(exps) if e)
             chain.append((exps, self.factors[i][0]))
             exps = exps[:i] + (exps[i] - 1,) + exps[i + 1 :]
-        out = products[exps] if exps in products else FqPoly.one(self.field)
+        if out is None:
+            out = FqPoly.one(self.field)
         for key, g in reversed(chain):
             out = products[key] = out * g
         return out
@@ -454,6 +455,18 @@ class FactoredPoly:
     def expand(self) -> FqPoly:
         """Multiply the factorization back out."""
         return self.divisor(tuple(e for _, e in self.factors))
+
+    @cached_property
+    def codivisors(self) -> tuple[tuple[FqPoly, ...], ...]:
+        """Per factor P^e, the quotients f/P, f/P^2, ..., f/P^e of the product f.
+
+        For f = x^n - 1 these fix every element order (action._fq_order_i).
+        """
+        full = tuple(e for _, e in self.factors)
+        return tuple(
+            tuple(self.divisor(full[:i] + (k,) + full[i + 1 :]) for k in reversed(range(e)))
+            for i, e in enumerate(full)
+        )
 
     @cached_property
     def degree(self) -> int:

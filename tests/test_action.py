@@ -329,8 +329,18 @@ class TestActionPastTableBound:
             assert char_order_bruteforce(chi, fp) == char_order_fast(chi, fp), label.value
 
 
-# Small towers off VERIFICATION_GRID: large p, s up to 4, and n = 11 over F_2
-OFF_GRID = [(11, 1, 2), (2, 4, 2), (3, 3, 2), (5, 2, 2), (2, 1, 11), (7, 1, 4), (2, 2, 6)]
+# Small towers off VERIFICATION_GRID: large p, s up to 4, and n = 11 and 12 over
+# F_2, where x^12 - 1 = (x + 1)^4 (x^2 + x + 1)^4 has factors of multiplicity 4
+OFF_GRID = [
+    (11, 1, 2),
+    (2, 4, 2),
+    (3, 3, 2),
+    (5, 2, 2),
+    (2, 1, 11),
+    (2, 1, 12),
+    (7, 1, 4),
+    (2, 2, 6),
+]
 
 
 @cache
@@ -354,6 +364,8 @@ def test_order_routes_on_towers_off_the_grid(psn, data):
     for t in (tables, vectors):
         # g . y reaches orders dividing (x^n - 1) / g, below those of random labels
         for x in (FFElement(t, value), apply_action(g, FFElement(t, value))):
-            assert fq_order(x, fp) == oracle_fq_order(x, fp), (psn, x.value)
+            order = oracle_fq_order(x, fp)
+            assert fq_order(x, fp) == order, (psn, x.value)
+            assert is_normal(x, fp) == (order == fp.expand()), (psn, x.value)
             chi = AdditiveCharacter(x)
             assert char_order_bruteforce(chi, fp) == char_order_fast(chi, fp), (psn, x.value)

@@ -18,6 +18,7 @@ from qorder import (
     char_order_bruteforce,
     characters_by_order,
     classification_report,
+    divisor_phi_table,
     divisors_of_xn_minus_1,
     element_tokens,
     elements_by_order,
@@ -500,6 +501,26 @@ def test_corrupted_kernel_table_shows_in_the_sweeps(p, s, n, corrupt, monkeypatc
     assert [x for f, xs in partition.items() for x in xs if expected[x] != f] == [elements[0]]
     sweep = reciprocal_order_sweep(t, fp)
     assert [x for x, _, _ in sweep.mismatches] == [elements[0]]
+
+
+@pytest.mark.parametrize("n,codivisors", [(7, 3), (12, 8)])
+def test_element_sweep_builds_tables_for_the_codivisors_only(n, codivisors, monkeypatch):
+    # x^7 - 1 has three distinct factors and x^12 - 1 = (x + 1)^4 (x^2 + x + 1)^4;
+    # element orders need only the co-divisors (x^n - 1)/P^j, one table pair each,
+    # not all 7 or 24 proper divisors
+    t, fp = tower_and_factors(2, 1, n)
+    assert sum(e for _, e in fp.factors) == codivisors
+    build, built = FieldTower._kernel_tables, []
+
+    def counted(self, cols):
+        built.append(cols)
+        return build(self, cols)
+
+    monkeypatch.setattr(FieldTower, "_kernel_tables", counted)
+    partition = elements_by_order(t, fp)
+    assert len(built) == codivisors
+    assert built == [_action_matrix(t, g.coeffs) for row in fp.codivisors for g in row]
+    assert {f: len(xs) for f, xs in partition.items()} == dict(divisor_phi_table(fp))
 
 
 @pytest.mark.parametrize("p,s,n", [*VERIFICATION_GRID, (2, 1, 11), (3, 1, 7)])
