@@ -5,9 +5,11 @@ an F_q-linear map (the linearized form of g).  The annihilator of any x is
 an ideal containing x^n - 1; its monic generator is the element's order,
 and the elements of maximal order x^n - 1 are exactly the normal ones.
 
-Orders are read per irreducible factor from the co-divisors (x^n - 1)/P^j,
-the same for every element (see fq_order).  A query applies their action
-matrices (_fq_order_i); a sweep looks elements up in their kernel tables
+Each g acts through its F_p-matrix A_g (_action_matrix), built once per
+tower and polynomial in the tower's map cache.  Orders are read per
+irreducible factor from the co-divisors (x^n - 1)/P^j, the same for every
+element (see fq_order).  A query applies their action matrices
+(_fq_order_i); a sweep looks elements up in their kernel tables
 (_element_order).
 """
 
@@ -21,7 +23,7 @@ from .errors import (
     NotMonicError,
     ZeroConstantTermError,
 )
-from .fields import FFElement, FieldTower
+from .fields import FFElement, FieldTower, _cached_map
 from .poly import FactoredPoly, FqPoly
 
 
@@ -41,19 +43,10 @@ def _action_sum(tower: FieldTower, coeffs: tuple[int, ...], xv: int) -> int:
     return acc
 
 
+@_cached_map
 def _action_matrix(tower: FieldTower, coeffs: tuple[int, ...]) -> tuple[int, ...]:
-    """A_g, the F_p-matrix of x -> sum of a_i * x^(q^i), for g = sum a_i x^i.
-
-    It is built once per polynomial by _action_sum and kept in the tower's
-    action cache under coeffs (characters.py keys its per-divisor data by
-    (coeffs, check)).
-    """
-    cols = tower._action_cache.get(coeffs)
-    if cols is None:
-        cols = tower._action_cache[coeffs] = tower._linear(
-            lambda b: _action_sum(tower, coeffs, b)
-        )
-    return cols
+    """A_g, the F_p-matrix of x -> sum of a_i * x^(q^i), for g = sum a_i x^i."""
+    return tower._linear(lambda b: _action_sum(tower, coeffs, b))
 
 
 def _apply_i(tower: FieldTower, coeffs: tuple[int, ...], xv: int) -> int:
@@ -119,7 +112,7 @@ def _element_order(tower: FieldTower, fp: FactoredPoly) -> Callable[[int], FqPol
         (e, [tower._kernel_tables(_action_matrix(tower, g.coeffs)) for g in row])
         for (_, e), row in zip(fp.factors, fp.codivisors)
     ]
-    half = tower._kernel_split()
+    half = tower._split
 
     def order(v: int) -> FqPoly:
         j, i = divmod(v, half)

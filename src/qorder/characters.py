@@ -11,10 +11,11 @@ fast path through the label's element order.
 The scan tests g . chi = 1 for each divisor g in one of two ways.  Basis
 mode uses that the trace form (a, y) -> Tr(a*y) is F_p-bilinear: the values
 Tr(a * (g . x)) at the n*s basis points x are the entries of one F_p-matrix
-M_g applied to a, built once per divisor from the trace Gram matrix and the
+M_g applied to a, the transpose of the trace Gram matrix composed with the
 action matrix.  Exhaustive mode evaluates Tr(a * v) at every distinct value
-v = g . x over the whole field.  Neither uses the reciprocal relation that
-the fast path rests on.  A single query applies M_g to the label
+v = g . x over the whole field, the image of the action matrix.  Both are
+built once per tower and divisor in the tower's map cache.  Neither uses the
+reciprocal relation that the fast path rests on.  A single query applies M_g to the label
 (_char_order_i); a sweep over the whole field builds the kernel tables of
 every M_g once and looks each label up in them (_char_order).
 """
@@ -24,9 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .action import _apply_i, _check_coeff_field, apply_action, fq_order
+from .action import _action_matrix, _check_coeff_field, apply_action, fq_order
 from .errors import FieldMismatchError
-from .fields import FFElement, FieldTower
+from .fields import FFElement, FieldTower, _cached_map
 from .poly import (
     FactoredPoly,
     FqPoly,
@@ -92,34 +93,26 @@ def _check_mode(check: str) -> None:
         raise ValueError(f"check must be one of {_CHECK_MODES}")
 
 
+@_cached_map
 def _trace_form_matrix(tower: FieldTower, coeffs: tuple[int, ...]) -> tuple[int, ...]:
-    """M_g, the F_p-matrix of a -> (Tr(a * (g . p^t)))_t for t < n*s, cached on the tower.
+    """M_g, the F_p-matrix of a -> (Tr(a * (g . p^t)))_t for t < n*s.
 
     Row t of M_g is G (g . p^t) for the trace Gram matrix G, so M_g = A_g^T G
-    with A_g the action matrix: n*s applications of G and one transpose.  The
-    key (coeffs, "basis") stays apart from the action matrix's key coeffs.
+    with A_g the action matrix: the transpose of G composed with A_g.
     """
-    key = (coeffs, "basis")
-    cols = tower._action_cache.get(key)
-    if cols is None:
-        gram, combine = tower._trace_gram(), tower._combine
-        rows = tower._linear(lambda b: combine(gram, _apply_i(tower, coeffs, b)))
-        cols = tower._action_cache[key] = tower._transpose(rows)
-    return cols
+    gram, action = tower._trace_gram(), _action_matrix(tower, coeffs)
+    return tower._transpose(tower._compose(gram, action))
 
 
+@_cached_map
 def _annihilation_points(tower: FieldTower, coeffs: tuple[int, ...]) -> tuple[int, ...]:
-    """The distinct values g . x over the whole field, cached on the tower.
+    """The distinct values g . x over the whole field.
 
     They are the image of the action: q^(n - deg g) of the q^n elements when
     g divides x^n - 1.
     """
-    key = (coeffs, "exhaustive")
-    values = tower._action_cache.get(key)
-    if values is None:
-        image = dict.fromkeys(_apply_i(tower, coeffs, xv) for xv in range(tower.size))
-        values = tower._action_cache[key] = tuple(image)
-    return values
+    cols, combine = _action_matrix(tower, coeffs), tower._combine
+    return tuple(dict.fromkeys(combine(cols, xv) for xv in range(tower.size)))
 
 
 def _annihilates(tower: FieldTower, coeffs: tuple[int, ...], lab: int, check: str) -> bool:
@@ -167,7 +160,7 @@ def _char_order(
     kernels = [
         (g, *tower._kernel_tables(_trace_form_matrix(tower, g.coeffs))) for g in divisors
     ]
-    half = tower._kernel_split()
+    half = tower._split
 
     def order(v: int) -> FqPoly:
         j, i = divmod(v, half)

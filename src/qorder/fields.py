@@ -18,24 +18,33 @@ and inversion up to 2^14 elements.  Past them a product is the multiply and
 reduction FqPoly uses (qorder.poly), on bit masks in F_2[u] when q = 2 and on
 F_q coefficient lists otherwise.  Under + F_{q^n} is F_p^(n*s), so addition
 is F_p digit arithmetic: XOR for p = 2, one loop over base-p digits otherwise.
-F_p-linear maps (Frobenius, the trace, the Gram matrix Tr(p^i * p^j) of the
-trace form, and the module action in action.py) are matrices on every tower,
-built once and applied by _combine.  A sweep over the whole field asks only
-whether each element lies in a matrix's kernel; _kernel_tables answers that
-with two list lookups, from tables of about twice the square root of the
-field size per matrix.
+F_p-linear maps (Frobenius, the trace, the trace form's Gram matrix, and the
+matrices of action.py and characters.py) share one column layout, fixed per
+tower: _linear builds, _combine applies, _compose and _transpose derive, and
+_cached_map keeps each map in the tower's one cache.  A sweep over the whole
+field asks only whether each element lies in a matrix's kernel; _kernel_tables
+answers that with two list lookups, from tables of about twice the square
+root of the field size per matrix.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-from functools import lru_cache, reduce
+from functools import lru_cache, reduce, wraps
 from typing import Callable, Iterator
 
 from .errors import FieldMismatchError, NonPrimeError, ParseError, SizeExceededError
 from .integers import is_prime, prime_factors
-from .poly import FqPoly, _clmod, _clmul, _coeff_divmod, _coeff_mul, is_irreducible
+from .poly import (
+    FqPoly,
+    _clmod,
+    _clmul,
+    _coeff_divmod,
+    _coeff_mul,
+    _parse_coeffs,
+    is_irreducible,
+)
 
 #: Exhaustive operations refuse fields larger than this unless overridden.
 DEFAULT_SIZE_BOUND = 1 << 24
@@ -158,6 +167,23 @@ def base_field(p: int, s: int = 1) -> BaseField:
     return BaseField(p, s, smallest_irreducible(prime, s).coeffs)
 
 
+def _cached_map(build: Callable[..., object]) -> Callable[..., object]:
+    """Cache build(tower, *args) in the tower's one dict of lazily built maps.
+
+    Each key (build, *args) names its builder, so kinds never share an entry.
+    """
+
+    @wraps(build)
+    def cached(tower: "FieldTower", *args):
+        key = (build, *args)
+        value = tower._maps.get(key)
+        if value is None:
+            value = tower._maps[key] = build(tower, *args)
+        return value
+
+    return cached
+
+
 class FieldTower:
     """F_{q^n} = F_q[u]/(h0) over a BaseField F_q; elements are ints in [0, q^n).
 
@@ -173,13 +199,12 @@ class FieldTower:
         "size",
         "base",
         "top_modulus",
+        "_width",
+        "_split",
         "_exp",
         "_log",
-        "_trace_cols",
-        "_gram_cols",
         "_trace_table",
-        "_frob_cols",
-        "_action_cache",
+        "_maps",
     )
 
     def __init__(self, base: BaseField, top_modulus: FqPoly):
@@ -192,13 +217,14 @@ class FieldTower:
         self.n = top_modulus.degree
         self.size = self.q**self.n
         self.top_modulus = top_modulus
+        total = self.n * self.s
+        # bits per base-p digit in _linear's layout: a sum of n*s products below p^2
+        self._width = 1 if self.p == 2 else (total * (self.p - 1) ** 2).bit_length()
+        self._split = self.p ** (total // 2)  # B, the split of _kernel_tables
         self._exp = None
         self._log = None
-        self._trace_cols = None
-        self._gram_cols = None
         self._trace_table = None
-        self._frob_cols = None
-        self._action_cache = {}
+        self._maps = {}
 
     @property
     def base_modulus(self) -> tuple[int, ...]:
@@ -323,15 +349,14 @@ class FieldTower:
     def _linear(self, f: Callable[[int], int]) -> tuple[int, ...]:
         """The columns of the F_p-linear map f: its images of the basis p^t, t < n*s.
 
-        For odd p each image's base-p digits are spread into fields of w bits, so
-        that _combine scales and adds a whole column with one int multiply-add; w
-        holds a sum of n*s digit products below p^2 without a carry between fields.
+        For odd p each image's base-p digits are spread into fields of _width
+        bits, so that _combine scales and adds a whole column with one int
+        multiply-add.
         """
-        p, total = self.p, self.n * self.s
-        images = [f(p**t) for t in range(total)]
+        p, w = self.p, self._width
+        images = [f(p**t) for t in range(self.n * self.s)]
         if p == 2:
             return tuple(images)
-        w = (total * (p - 1) ** 2).bit_length()
         cols = []
         for v in images:
             col = shift = 0
@@ -354,74 +379,65 @@ class FieldTower:
         for col in cols:
             x, d = divmod(x, p)
             acc += d * col
-        w = (len(cols) * (p - 1) ** 2).bit_length()
+        w = self._width
         mask = (1 << w) - 1
         value = 0
         for shift in range(w * (len(cols) - 1), -1, -w):
             value = value * p + (acc >> shift & mask) % p
         return value
 
-    def _kernel_split(self) -> int:
-        """B = p^floor(n*s/2), the split x = (x % B) + (x // B)*B of _kernel_tables."""
-        return self.p ** (self.n * self.s // 2)
-
     def _kernel_tables(self, cols: tuple[int, ...]) -> tuple[list[int], list[int]]:
         """Split tables (lo, hi) for membership of every x in the kernel of A = cols.
 
-        With B = _kernel_split(), lo[i] = A i for i < B and hi[j] = -A (j*B), so
-        A x = 0 exactly when lo[x % B] == hi[x // B]: A is F_p-linear and x % B,
+        With B = _split, lo[i] = A i for i < B and hi[j] = -A (j*B), so A x = 0
+        exactly when lo[x % B] == hi[x // B]: A is F_p-linear and x % B,
         (x // B) * B are the low and high base-p digits of x.  The two lists hold
         p^floor(n*s/2) + p^ceil(n*s/2) entries, about twice the square root of the
         field size, which suits sweeps over the whole field (the table method of
         Arlazarov, Dinic, Kronrod and Faradzev, 1970).
         """
-        combine, neg_i = self._combine, self.neg_i
-        half = self._kernel_split()
+        combine, neg_i, half = self._combine, self.neg_i, self._split
         lo = [combine(cols, i) for i in range(half)]
         hi = [neg_i(combine(cols, j * half)) for j in range(self.size // half)]
         return lo, hi
 
+    def _compose(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+        """The columns of x -> a(b(x)), for a and b in the layout of _linear."""
+        combine = self._combine
+        return self._linear(lambda x: combine(a, combine(b, x)))
+
     def _transpose(self, cols: tuple[int, ...]) -> tuple[int, ...]:
         """The columns of the transposed map, from and to the layout of _linear."""
-        w = 1 if self.p == 2 else (len(cols) * (self.p - 1) ** 2).bit_length()
+        w = self._width
         mask = (1 << w) - 1
         return tuple(
             sum((col >> w * t & mask) << w * j for j, col in enumerate(cols))
             for t in range(len(cols))
         )
 
+    @_cached_map
     def _frobenius_columns(self) -> list[tuple[int, ...]]:
         """cols[k] is the matrix of the p-power Frobenius x -> x^(p^k), k < n*s."""
-        if self._frob_cols is None:
-            linear, combine = self._linear, self._combine
-            to_p = linear(lambda b: reduce(self._mul_vec, [b] * self.p))
-            cols = [linear(lambda b: b)]
-            while len(cols) < self.n * self.s:
-                prev = cols[-1]
-                cols.append(linear(lambda b: combine(to_p, combine(prev, b))))
-            self._frob_cols = cols
-        return self._frob_cols
+        to_p = self._linear(lambda b: reduce(self._mul_vec, [b] * self.p))
+        cols = [self._linear(lambda b: b)]
+        while len(cols) < self.n * self.s:
+            cols.append(self._compose(to_p, cols[-1]))
+        return cols
 
     # -- trace -------------------------------------------------------------------
 
+    @_cached_map
     def _trace_columns(self) -> tuple[int, ...]:
         """Tr as an F_p-linear map: the sum of the n*s p-power conjugates."""
-        if self._trace_cols is None:
-            powers, add_i = self._frobenius_columns(), self.add_i
-            self._trace_cols = self._linear(
-                lambda b: reduce(add_i, (self._combine(m, b) for m in powers))
-            )
-        return self._trace_cols
+        powers, add_i, combine = self._frobenius_columns(), self.add_i, self._combine
+        return self._linear(lambda b: reduce(add_i, (combine(m, b) for m in powers)))
 
+    @_cached_map
     def _trace_gram(self) -> tuple[int, ...]:
         """The trace form's Gram matrix Tr(p^i * p^j), i, j < n*s: x -> (Tr(p^i * x))_i."""
-        if self._gram_cols is None:
-            p, trace_i, mul_i = self.p, self.trace_i, self.mul_i
-            basis = [p**i for i in range(self.n * self.s)]
-            self._gram_cols = self._linear(
-                lambda b: sum(trace_i(mul_i(e, b)) * e for e in basis)
-            )
-        return self._gram_cols
+        trace_i, mul_i = self.trace_i, self.mul_i
+        basis = [self.p**i for i in range(self.n * self.s)]
+        return self._linear(lambda b: sum(trace_i(mul_i(e, b)) * e for e in basis))
 
     def trace_i(self, x: int) -> int:
         """Tr_{q^n/p}(x) = sum of the n*s p-power conjugates, as a residue mod p."""
@@ -459,13 +475,14 @@ class FieldTower:
                 break
         else:
             raise AssertionError("the multiplicative group is cyclic")
+        combine, times_gen = self._combine, self._linear(lambda b: self._mul_vec(b, gen))
         exp = [1] * m
         log = [0] * self.size
         acc = 1
         for i in range(m):
             exp[i] = acc
             log[acc] = i
-            acc = self._mul_vec(acc, gen)
+            acc = combine(times_gen, acc)
         self._exp = exp
         self._log = log
 
@@ -649,17 +666,9 @@ def enumerate_elements(
 
 
 def parse_element(tower: FieldTower, text: str) -> FFElement:
-    tokens = [t.strip() for t in text.split(",")]
-    if not tokens or any(not t for t in tokens) or len(tokens) > tower.n:
+    vec = _parse_coeffs(text, tower.q, "element")
+    if len(vec) > tower.n:
         raise ParseError(f"malformed element text {text!r} for n={tower.n}")
-    try:
-        vec = [int(t) for t in tokens]
-    except ValueError as exc:
-        raise ParseError(f"malformed element text {text!r}") from exc
-    for c in vec:
-        if not 0 <= c < tower.q:
-            raise ParseError(f"coefficient {c} outside [0, {tower.q})")
-    vec.extend([0] * (tower.n - len(vec)))
     return FFElement(tower, tower.from_coeff_vec(vec))
 
 

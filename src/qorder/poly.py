@@ -347,19 +347,22 @@ def poly_gcd(a: FqPoly, b: FqPoly) -> FqPoly:
 # over F_2 is 1 + x + x^3; "0" is the zero polynomial.
 
 
+def _parse_coeffs(text: str, q: int, what: str) -> list[int]:
+    """The tokens of parse_poly and parse_element: ASCII digits 0-9, each below q."""
+    tokens = [t.strip() for t in text.split(",")]
+    # int() alone would also read signs, underscores and non-ASCII digits
+    if not all(t.isascii() and t.isdigit() for t in tokens):
+        raise ParseError(f"malformed {what} text {text!r}")
+    coeffs = [int(t) for t in tokens]
+    for c in coeffs:
+        if not 0 <= c < q:
+            raise ParseError(f"coefficient {c} outside [0, {q})")
+    return coeffs
+
+
 def parse_poly(field: "BaseField", text: str) -> FqPoly:
     """Parse the comma-separated coefficient format."""
-    tokens = [t.strip() for t in text.split(",")]
-    if not tokens or any(not t for t in tokens):
-        raise ParseError(f"malformed polynomial text {text!r}")
-    try:
-        coeffs = [int(t) for t in tokens]
-    except ValueError as exc:
-        raise ParseError(f"malformed polynomial text {text!r}") from exc
-    for c in coeffs:
-        if not 0 <= c < field.size:
-            raise ParseError(f"coefficient {c} outside [0, {field.size})")
-    return FqPoly(field, coeffs)
+    return FqPoly(field, _parse_coeffs(text, field.size, "polynomial"))
 
 
 def poly_tokens(f: FqPoly) -> str:

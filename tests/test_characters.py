@@ -26,13 +26,15 @@ from qorder import (
     trivial_character,
 )
 from qorder import action, characters, poly
-from qorder.action import _apply_i
+from qorder.action import _action_matrix, _apply_i
 from qorder.characters import _CHECK_MODES, _annihilation_points, _trace_form_matrix
 
 from oracles import (
     oracle_annihilated_labels,
     oracle_apply_action,
     oracle_char_annihilated,
+    oracle_tower_mul,
+    oracle_trace,
 )
 from test_action import OFF_GRID, towers_on_both_paths
 
@@ -207,6 +209,23 @@ class TestAnnihilation:
                 assert len(points) == len(set(points)) == t.q ** (t.n - g.degree)
                 image = {oracle_apply_action(t, g.coeffs, v) for v in range(t.size)}
                 assert set(points) == image, (t, str(g))
+
+    def test_matrix_kinds_keep_apart_in_the_cache(self):
+        # A_g, M_g and the exhaustive image of one g are cached on one tower, here
+        # a fresh one with odd p and s > 1; each must still match its oracle
+        _, t, fp = towers_on_both_paths(3, 2, 2)
+        for g in divisors_of_xn_minus_1(fp):
+            c = g.coeffs
+            m_g, points = _trace_form_matrix(t, c), _annihilation_points(t, c)
+            a_g = _action_matrix(t, c)
+            acted = [oracle_apply_action(t, c, v) for v in range(t.size)]
+            assert [t._combine(a_g, v) for v in range(t.size)] == acted, str(g)
+            assert sorted(points) == sorted(set(acted)), str(g)
+            for lab in range(t.size):
+                image = t._combine(m_g, lab)
+                for k in range(t.n * t.s):
+                    product = FFElement(t, oracle_tower_mul(t, lab, acted[t.p**k]))
+                    assert image // t.p**k % t.p == oracle_trace(product), (str(g), lab, k)
 
     def test_bad_check_mode(self, f4):
         t, _ = f4

@@ -175,6 +175,12 @@ class TestCharOrder:
         assert code == 2
         assert "malformed" in err
 
+    @pytest.mark.parametrize("label", ["1_0", "+1", "\u0661"])
+    def test_parse_error_on_non_digit_tokens(self, capsys, label):
+        code, out, err = run_cli(capsys, "--p", "13", "--n", "2", "char-order", label)
+        assert code == 2 and out == ""
+        assert f"malformed element text {label!r}" in err
+
 
 class TestPnbt:
     def test_f4(self, capsys):

@@ -157,6 +157,19 @@ class TestFieldAxioms:
                     power = t._mul_vec(power, a)
                 assert t.frob_i(a, 1) == power
 
+    @pytest.mark.parametrize(
+        "p,s,n", [(2, 1, 9), (3, 1, 5), (2, 2, 4), (3, 2, 3), (2, 2, 1), (3, 2, 1)]
+    )
+    def test_log_tables_step_by_the_generator(self, p, s, n):
+        # exp[i + 1] = exp[i] * gen by coefficient-vector products, however the
+        # tables were stepped, and log inverts exp
+        t = build_tower(p, s, n)
+        exp, log, m = t._exp, t._log, t.size - 1
+        assert len(exp) == m and exp[0] == 1
+        for i in range(m):
+            assert t._mul_vec(exp[i], exp[1]) == exp[(i + 1) % m], i
+            assert log[exp[i]] == i
+
     def test_pow_and_inv(self):
         t = build_tower(3, 1, 2)
         for a in range(1, t.size):
@@ -342,6 +355,14 @@ class TestFFElement:
             parse_element(t, "2,0")  # coefficient out of range
         with pytest.raises(ParseError):
             parse_element(t, "a")
+
+    @pytest.mark.parametrize("text", ["1_0", "+1", "-1", "\u0661", "1 0", "0,\u00b2"])
+    def test_parse_accepts_ascii_digits_only(self, text):
+        # int() would read underscores, signs and non-ASCII digits
+        t = build_tower(13, 1, 2)
+        with pytest.raises(ParseError, match="malformed element"):
+            parse_element(t, text)
+        assert parse_element(t, " 10 , 1 ").value == 10 + 13
 
 
 @settings(max_examples=200, deadline=None)

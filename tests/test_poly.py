@@ -469,6 +469,13 @@ class TestTextFormat:
         with pytest.raises(ParseError):
             parse_poly(F2, "")
 
+    @pytest.mark.parametrize("text", ["1_0,1", "+1", "-1", "\u0661", "1 0", "\u00b2"])
+    def test_parse_accepts_ascii_digits_only(self, text):
+        # int() would read underscores, signs and non-ASCII digits
+        with pytest.raises(ParseError, match="malformed polynomial"):
+            parse_poly(base_field(13), text)
+        assert parse_poly(base_field(13), " 10 , 1 ") == P(base_field(13), 10, 1)
+
     def test_str_rendering(self):
         assert str(P(F2, 1, 1, 0, 1)) == "x^3 + x + 1"
         assert str(P(F3, 2, 2, 1)) == "x^2 + 2*x + 2"
