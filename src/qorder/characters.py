@@ -8,16 +8,17 @@ is the monic generator of its annihilator ideal, found here both by a
 definitional divisor scan (the oracle) and by the coefficient-reversal
 fast path through the label's element order.
 
-The scan tests g . chi = 1 for each divisor g in one of two ways.  Basis
-mode uses that the trace form (a, y) -> Tr(a*y) is F_p-bilinear: the values
+The scan tests g . chi = 1 for each divisor g in one of two ways, both resting
+on the F_p-bilinear trace form (a, y) -> Tr(a*y).  Basis mode: the values
 Tr(a * (g . x)) at the n*s basis points x are the entries of one F_p-matrix
-M_g applied to a, the transpose of the trace Gram matrix composed with the
+M_g applied to a, the transpose of the trace Gram matrix G composed with the
 action matrix.  Exhaustive mode evaluates Tr(a * v) at every distinct value
-v = g . x over the whole field, the image of the action matrix.  Both are
-built once per tower and divisor in the tower's map cache.  Neither uses the
-reciprocal relation that the fast path rests on.  A single query applies M_g to the label
-(_char_order_i); a sweep over the whole field builds the kernel tables of
-every M_g once and looks each label up in them (_char_order).
+v = g . x, the image of the action matrix, as the dot product of v's base-p
+digits with those of the label's trace functional G a.  M_g and the image are
+built once per tower and divisor in the tower's map cache.  Neither mode uses
+the reciprocal relation that the fast path rests on.  A single query applies
+M_g to the label (_char_order_i); a sweep over the whole field builds the
+kernel tables of every M_g once and looks each label up in them (_char_order).
 """
 
 from __future__ import annotations
@@ -106,22 +107,41 @@ def _trace_form_matrix(tower: FieldTower, coeffs: tuple[int, ...]) -> tuple[int,
 
 @_cached_map
 def _annihilation_points(tower: FieldTower, coeffs: tuple[int, ...]) -> tuple[int, ...]:
-    """The distinct values g . x over the whole field.
+    """The distinct values g . x over the whole field, each packed as by _linear.
 
     They are the image of the action: q^(n - deg g) of the q^n elements when
     g divides x^n - 1.
     """
-    cols, combine = _action_matrix(tower, coeffs), tower._combine
-    return tuple(dict.fromkeys(combine(cols, xv) for xv in range(tower.size)))
+    cols, combine, pack = _action_matrix(tower, coeffs), tower._combine, tower._pack
+    return tuple(map(pack, dict.fromkeys(combine(cols, xv) for xv in range(tower.size))))
 
 
-def _annihilates(tower: FieldTower, coeffs: tuple[int, ...], lab: int, check: str) -> bool:
+def _annihilation_test(
+    tower: FieldTower, lab: int, check: str
+) -> Callable[[tuple[int, ...]], bool]:
+    """The test of g, by its coeffs, for annihilating the character labeled lab.
+
+    Made once per label: check="exhaustive" takes its trace functional u = G lab,
+    whose digit t is Tr(p^t * lab), so that Tr(lab * v) = sum_t u_t v_t mod p.
+    """
     if check == "basis":
-        return tower._combine(_trace_form_matrix(tower, coeffs), lab) == 0
-    if lab == 0:
-        return True
-    trace_i, mul_i = tower.trace_i, tower.mul_i
-    return all(trace_i(mul_i(lab, v)) == 0 for v in _annihilation_points(tower, coeffs))
+        return lambda coeffs: tower._combine(_trace_form_matrix(tower, coeffs), lab) == 0
+    p, u = tower.p, tower._combine(tower._trace_gram(), lab)
+    if p == 2:
+        return lambda coeffs: not any(
+            (u & v).bit_count() & 1 for v in _annihilation_points(tower, coeffs)
+        )
+    # u's digits highest first against the points' lowest first: field n*s - 1
+    # of the product is sum_t u_t v_t < 2^_width, and no carry crosses fields
+    w, digits = tower._width, tower.n * tower.s
+    packed = 0
+    for _ in range(digits):
+        u, d = divmod(u, p)
+        packed = packed << w | d
+    top, mask = w * (digits - 1), (1 << w) - 1
+    return lambda coeffs: not any(
+        (packed * v >> top & mask) % p for v in _annihilation_points(tower, coeffs)
+    )
 
 
 def char_annihilated_by(
@@ -138,15 +158,16 @@ def char_annihilated_by(
     _check_mode(check)
     tower = chi.tower
     _check_coeff_field(g, tower)
-    return _annihilates(tower, g.coeffs, chi.label.value, check)
+    return _annihilation_test(tower, chi.label.value, check)(g.coeffs)
 
 
 def _char_order_i(
     tower: FieldTower, divisors: tuple[FqPoly, ...], lab: int, check: str
 ) -> FqPoly:
     """char_order_bruteforce on a label: the first of divisors that annihilates it."""
+    annihilates = _annihilation_test(tower, lab, check)
     for g in divisors:
-        if _annihilates(tower, g.coeffs, lab, check):
+        if annihilates(g.coeffs):
             return g
     raise AssertionError("x^n - 1 annihilates every character")
 

@@ -13,11 +13,14 @@ every tower, and hence every report, reproducible across runs.
 
 Both levels share one arithmetic core, FieldTower: F_{q^n} is the tower
 over F_q, and F_q itself (for s > 1) is computed as the tower F_p[t]/(g0)
-over F_p.  Either level gets discrete-log tables for multiplication, powers
-and inversion up to 2^14 elements.  Past them a product is the multiply and
-reduction FqPoly uses (qorder.poly), on bit masks in F_2[u] when q = 2 and on
-F_q coefficient lists otherwise.  Under + F_{q^n} is F_p^(n*s), so addition
-is F_p digit arithmetic: XOR for p = 2, one loop over base-p digits otherwise.
+over F_p.  A tower product is the multiply and reduction FqPoly uses
+(qorder.poly), on bit masks in F_2[u] when q = 2 and on F_q coefficient lists
+otherwise; powers square and multiply, and the inverse is the power -1.  Only
+F_q for s > 1, up to 2^14 elements, multiplies and inverts through
+discrete-log tables, since the coefficient products of F_q[x] and of every
+tower product over it go through them.  Under + F_{q^n} is F_p^(n*s), so
+addition is F_p digit arithmetic: XOR for p = 2, one loop over base-p digits
+otherwise.
 F_p-linear maps (Frobenius, the trace, the trace form's Gram matrix, and the
 matrices of action.py and characters.py) share one column layout, fixed per
 tower: _linear builds, _combine applies, _compose and _transpose derive, and
@@ -50,9 +53,9 @@ from .poly import (
 DEFAULT_SIZE_BOUND = 1 << 24
 
 # Internal speed knob; it never affects results, only how they are computed.
-# build_log_tables gives any field up to this size, F_q or F_{q^n}, log tables
-# for mul_i, pow_i and inv_i; larger ones multiply coefficient vectors.  It does
-# not decide how linear maps are applied: those are matrices on every tower.
+# F_q with s > 1 up to this size multiplies and inverts through log tables;
+# larger ones use the tower's coefficient-vector arithmetic.  frob_table also
+# reads it.  No F_{q^n} keeps tables: every tower computes the same way.
 _EXP_LOG_BOUND = 1 << 14
 
 
@@ -60,8 +63,9 @@ class BaseField:
     """F_q = F_p[t]/(g0) with elements encoded as integers in [0, q).
 
     For s > 1 the arithmetic is that of the tower F_p < F_p[t]/(g0): add,
-    neg, sub, mul and inv are its add_i, neg_i, sub_i, mul_i and inv_i.
-    For s = 1 they are plain residue operations mod p.
+    neg and sub are its add_i, neg_i and sub_i, and mul and inv read log
+    tables stepped by a generator, or past _EXP_LOG_BOUND are its mul_i and
+    inv_i.  For s = 1 they are plain residue operations mod p.
 
     Instances are immutable after construction; use base_field() to get the
     canonical instance for given (p, s).
@@ -83,9 +87,10 @@ class BaseField:
             if not is_irreducible(g0):
                 raise ValueError("modulus must be irreducible over F_p")
             tower = FieldTower(prime, g0)
-            tower.build_log_tables()
             self.add, self.neg, self.sub = tower.add_i, tower.neg_i, tower.sub_i
             self.mul, self.inv = tower.mul_i, tower.inv_i
+            if self.size <= _EXP_LOG_BOUND:
+                self.mul, self.inv = _log_table_arithmetic(tower)
             return
         if p == 2:
             self.add = self.sub = operator.xor
@@ -140,6 +145,33 @@ class BaseField:
         return f"BaseField(p={self.p}, s={self.s})"
 
 
+def _log_table_arithmetic(tower: FieldTower) -> tuple[Callable, Callable]:
+    """mul and inv of a small field through exp[i] = gen^i and log = exp^-1.
+
+    exp runs over two periods, so a product reads exp[log a + log b] with no
+    reduction; the tables step by the matrix of multiplication by gen.
+    """
+    m = tower.size - 1
+    gen = next(g for g in range(2, tower.size) if tower.is_primitive_i(g))
+    combine, times_gen = tower._combine, tower._linear(lambda b: tower.mul_i(b, gen))
+    exp, log = [1] * (2 * m), [0] * tower.size
+    acc = 1
+    for i in range(m):
+        exp[i] = exp[i + m] = acc
+        log[acc] = i
+        acc = combine(times_gen, acc)
+
+    def mul(a: int, b: int) -> int:
+        return exp[log[a] + log[b]] if a and b else 0
+
+    def inv(a: int) -> int:
+        if a == 0:
+            raise ZeroDivisionError("inverse of zero")
+        return exp[m - log[a]]
+
+    return mul, inv
+
+
 def smallest_irreducible(field: BaseField, degree: int) -> FqPoly:
     """Lexicographically smallest monic irreducible of the given degree."""
     if degree == 1:
@@ -187,8 +219,8 @@ def _cached_map(build: Callable[..., object]) -> Callable[..., object]:
 class FieldTower:
     """F_{q^n} = F_q[u]/(h0) over a BaseField F_q; elements are ints in [0, q^n).
 
-    Immutable after construction (internal lookup tables are filled lazily
-    but hold values that never change).  All operations are pure.
+    Immutable after construction (the cache of linear maps is filled lazily
+    but holds values that never change).  All operations are pure.
     """
 
     __slots__ = (
@@ -201,9 +233,6 @@ class FieldTower:
         "top_modulus",
         "_width",
         "_split",
-        "_exp",
-        "_log",
-        "_trace_table",
         "_maps",
     )
 
@@ -221,9 +250,6 @@ class FieldTower:
         # bits per base-p digit in _linear's layout: a sum of n*s products below p^2
         self._width = 1 if self.p == 2 else (total * (self.p - 1) ** 2).bit_length()
         self._split = self.p ** (total // 2)  # B, the split of _kernel_tables
-        self._exp = None
-        self._log = None
-        self._trace_table = None
         self._maps = {}
 
     @property
@@ -287,7 +313,7 @@ class FieldTower:
             mult *= p
         return value
 
-    def _mul_vec(self, x: int, y: int) -> int:
+    def mul_i(self, x: int, y: int) -> int:
         base = self.base
         if self.n == 1:
             return base.mul(x, y)
@@ -296,24 +322,12 @@ class FieldTower:
         prod = _coeff_mul(base, self._coeffs(x), self._coeffs(y))
         return self.from_coeff_vec(_coeff_divmod(base, prod, self.top_modulus.coeffs)[1])
 
-    def mul_i(self, x: int, y: int) -> int:
-        exp = self._exp
-        if exp is not None:
-            if x == 0 or y == 0:
-                return 0
-            log = self._log
-            return exp[(log[x] + log[y]) % (self.size - 1)]
-        return self._mul_vec(x, y)
-
     def pow_i(self, x: int, e: int) -> int:
         if x == 0:
             if e < 0:
                 raise ZeroDivisionError("inverse of zero")
             return 1 if e == 0 else 0
-        m = self.size - 1
-        e %= m or 1
-        if self._exp is not None:
-            return self._exp[self._log[x] * e % m] if m else 1
+        e %= self.size - 1
         result = 1
         base = x
         while e:
@@ -324,12 +338,7 @@ class FieldTower:
         return result
 
     def inv_i(self, x: int) -> int:
-        if x == 0:
-            raise ZeroDivisionError("inverse of zero")
-        m = self.size - 1
-        if self._exp is not None:
-            return self._exp[(m - self._log[x]) % m] if m else 1
-        return self.pow_i(x, m - 1)
+        return self.pow_i(x, -1)
 
     def frob_i(self, x: int, k: int = 1) -> int:
         """The k-fold q-power Frobenius x^(q^k): entry k*s of the p-power matrices."""
@@ -339,7 +348,10 @@ class FieldTower:
         return self._combine(self._frobenius_columns()[k * self.s], x)
 
     def frob_table(self, k: int):
-        """Full Frobenius lookup list for small towers, else None."""
+        """Full Frobenius lookup list for towers up to _EXP_LOG_BOUND, else None.
+
+        No computation reads it; perfbench labels a tower by whether it is None.
+        """
         if self.size > _EXP_LOG_BOUND:
             return None
         return [self.frob_i(x, k) for x in range(self.size)]
@@ -349,23 +361,23 @@ class FieldTower:
     def _linear(self, f: Callable[[int], int]) -> tuple[int, ...]:
         """The columns of the F_p-linear map f: its images of the basis p^t, t < n*s.
 
-        For odd p each image's base-p digits are spread into fields of _width
-        bits, so that _combine scales and adds a whole column with one int
-        multiply-add.
+        Each image is packed (_pack), so that _combine scales and adds a whole
+        column with one int multiply-add.
         """
+        p, pack = self.p, self._pack
+        return tuple(pack(f(p**t)) for t in range(self.n * self.s))
+
+    def _pack(self, v: int) -> int:
+        """v with base-p digit t moved to field t of _width bits (v itself for p = 2)."""
         p, w = self.p, self._width
-        images = [f(p**t) for t in range(self.n * self.s)]
         if p == 2:
-            return tuple(images)
-        cols = []
-        for v in images:
-            col = shift = 0
-            while v:
-                v, d = divmod(v, p)
-                col |= d << shift
-                shift += w
-            cols.append(col)
-        return tuple(cols)
+            return v
+        packed = shift = 0
+        while v:
+            v, d = divmod(v, p)
+            packed |= d << shift
+            shift += w
+        return packed
 
     def _combine(self, cols: tuple[int, ...], x: int) -> int:
         """Apply the map with columns cols (from _linear) to x."""
@@ -418,7 +430,7 @@ class FieldTower:
     @_cached_map
     def _frobenius_columns(self) -> list[tuple[int, ...]]:
         """cols[k] is the matrix of the p-power Frobenius x -> x^(p^k), k < n*s."""
-        to_p = self._linear(lambda b: reduce(self._mul_vec, [b] * self.p))
+        to_p = self._linear(lambda b: reduce(self.mul_i, [b] * self.p))
         cols = [self._linear(lambda b: b)]
         while len(cols) < self.n * self.s:
             cols.append(self._compose(to_p, cols[-1]))
@@ -441,13 +453,7 @@ class FieldTower:
 
     def trace_i(self, x: int) -> int:
         """Tr_{q^n/p}(x) = sum of the n*s p-power conjugates, as a residue mod p."""
-        table = self._trace_table
-        if table is None:
-            cols = self._trace_columns()
-            if self.size > _EXP_LOG_BOUND:
-                return self._combine(cols, x)
-            table = self._trace_table = [self._combine(cols, v) for v in range(self.size)]
-        return table[x]
+        return self._combine(self._trace_columns(), x)
 
     def is_primitive_i(self, x: int) -> bool:
         """True iff x generates the multiplicative group.
@@ -458,33 +464,6 @@ class FieldTower:
             return False
         m = self.size - 1
         return all(self.pow_i(x, m // r) != 1 for r in prime_factors(m))
-
-    # -- internal table construction ---------------------------------------------
-
-    def build_log_tables(self) -> None:
-        """Construct discrete-log tables over a scanned generator (idempotent)."""
-        if self._exp is not None or self.size > _EXP_LOG_BOUND:
-            return
-        m = self.size - 1
-        if m == 1:
-            self._exp = [1]
-            self._log = [0, 0]
-            return
-        for gen in range(2, self.size):
-            if self.is_primitive_i(gen):
-                break
-        else:
-            raise AssertionError("the multiplicative group is cyclic")
-        combine, times_gen = self._combine, self._linear(lambda b: self._mul_vec(b, gen))
-        exp = [1] * m
-        log = [0] * self.size
-        acc = 1
-        for i in range(m):
-            exp[i] = acc
-            log[acc] = i
-            acc = combine(times_gen, acc)
-        self._exp = exp
-        self._log = log
 
     # -- identity -------------------------------------------------------------------
 
@@ -625,9 +604,7 @@ def build_tower(
 @lru_cache(maxsize=None)
 def _tower_cached(p: int, s: int, n: int) -> FieldTower:
     base = base_field(p, s)
-    tower = FieldTower(base, smallest_irreducible(base, n))
-    tower.build_log_tables()
-    return tower
+    return FieldTower(base, smallest_irreducible(base, n))
 
 
 def frobenius(x: FFElement, k: int = 1) -> FFElement:

@@ -1,8 +1,11 @@
+from functools import cache
+
 import pytest
 
 from qorder import build_tower, factor_xn_minus_1
 
 
+@cache
 def tower_and_factors(p, s, n):
     tower = build_tower(p, s, n)
     return tower, factor_xn_minus_1(n, tower.base)

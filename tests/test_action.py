@@ -1,6 +1,5 @@
 import itertools
 import random
-from functools import cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +8,6 @@ from qorder import (
     AdditiveCharacter,
     DegreeTooLargeError,
     FFElement,
-    FieldTower,
     FqPoly,
     NotMonicError,
     ZeroConstantTermError,
@@ -27,12 +25,12 @@ from qorder import (
     linearized_eval,
     monic_reciprocal,
     phi_q,
-    smallest_irreducible,
     trace_to_prime,
 )
 from qorder.classify import VERIFICATION_GRID
 from qorder.errors import FieldMismatchError
 
+from conftest import tower_and_factors
 from oracles import oracle_apply_action, oracle_fq_order, oracle_is_normal
 
 F2 = base_field(2)
@@ -260,8 +258,8 @@ def test_adjoint_power_identity_random_f625(xv, data):
 
 # Towers past _EXP_LOG_BOUND, where the action is applied as a cached F_p-matrix
 PAST_TABLE_BOUND = [(2, 1, 15), (2, 1, 16), (2, 2, 8), (3, 1, 10), (5, 1, 7), (3, 2, 5)]
-# Real-size towers on the log-table path, where the action is the same matrix:
-# odd p packs digits in _combine, and s > 1 reads Frobenius entry k*s
+# Real-size towers below it, where the action is the same matrix: odd p packs
+# digits in _combine, and s > 1 reads Frobenius entry k*s
 TABLE_PATH = [(2, 1, 13), (2, 2, 7), (3, 1, 8), (3, 2, 4)]
 
 
@@ -343,29 +341,18 @@ OFF_GRID = [
 ]
 
 
-@cache
-def towers_on_both_paths(p, s, n):
-    """The log-table tower, the same tower multiplying coefficient vectors, and
-    the factorization of x^n - 1."""
-    base = base_field(p, s)
-    vectors = FieldTower(base, smallest_irreducible(base, n))
-    return build_tower(p, s, n), vectors, factor_xn_minus_1(n, base)
-
-
 @settings(max_examples=120, deadline=None)
 @given(st.sampled_from(OFF_GRID), st.data())
 def test_order_routes_on_towers_off_the_grid(psn, data):
     assert psn not in VERIFICATION_GRID
-    tables, vectors, fp = towers_on_both_paths(*psn)
-    assert tables._exp is not None and vectors._exp is None
-    value = data.draw(st.integers(0, tables.size - 1), label="value")
+    t, fp = tower_and_factors(*psn)
+    value = data.draw(st.integers(0, t.size - 1), label="value")
     divisors = divisors_of_xn_minus_1(fp)
     g = divisors[data.draw(st.integers(0, len(divisors) - 1), label="divisor")]
-    for t in (tables, vectors):
-        # g . y reaches orders dividing (x^n - 1) / g, below those of random labels
-        for x in (FFElement(t, value), apply_action(g, FFElement(t, value))):
-            order = oracle_fq_order(x, fp)
-            assert fq_order(x, fp) == order, (psn, x.value)
-            assert is_normal(x, fp) == (order == fp.expand()), (psn, x.value)
-            chi = AdditiveCharacter(x)
-            assert char_order_bruteforce(chi, fp) == char_order_fast(chi, fp), (psn, x.value)
+    # g . y reaches orders dividing (x^n - 1) / g, below those of random labels
+    for x in (FFElement(t, value), apply_action(g, FFElement(t, value))):
+        order = oracle_fq_order(x, fp)
+        assert fq_order(x, fp) == order, (psn, x.value)
+        assert is_normal(x, fp) == (order == fp.expand()), (psn, x.value)
+        chi = AdditiveCharacter(x)
+        assert char_order_bruteforce(chi, fp) == char_order_fast(chi, fp), (psn, x.value)

@@ -7,6 +7,7 @@ from qorder import (
     AdditiveCharacter,
     FFElement,
     FieldMismatchError,
+    FieldTower,
     FqPoly,
     apply_action,
     base_field,
@@ -22,6 +23,7 @@ from qorder import (
     fq_order,
     linearized_eval,
     monic_reciprocal,
+    smallest_irreducible,
     trace_to_prime,
     trivial_character,
 )
@@ -29,6 +31,7 @@ from qorder import action, characters, poly
 from qorder.action import _action_matrix, _apply_i
 from qorder.characters import _CHECK_MODES, _annihilation_points, _trace_form_matrix
 
+from conftest import tower_and_factors
 from oracles import (
     oracle_annihilated_labels,
     oracle_apply_action,
@@ -36,7 +39,7 @@ from oracles import (
     oracle_tower_mul,
     oracle_trace,
 )
-from test_action import OFF_GRID, towers_on_both_paths
+from test_action import OFF_GRID
 
 F2 = base_field(2)
 
@@ -187,7 +190,11 @@ class TestAnnihilation:
                         g, chi
                     )
 
-    @pytest.mark.parametrize("p,s,n", [(2, 1, 2), (2, 1, 3), (3, 1, 2), (3, 2, 1), (3, 2, 2)])
+    # n*s*(p - 1)^2 is 16 on F_{3^4} and 32 on F_{5^2}, so the exhaustive check's
+    # packed dot product fills its digit fields to the last bit there
+    @pytest.mark.parametrize(
+        "p,s,n", [(2, 1, 2), (2, 1, 3), (3, 1, 2), (3, 2, 1), (3, 2, 2), (3, 1, 4), (5, 1, 2)]
+    )
     def test_both_modes_against_full_evaluation_oracle(self, p, s, n):
         t = build_tower(p, s, n)
         for g in divisors_of_xn_minus_1(factor_xn_minus_1(n, t.base)):
@@ -202,30 +209,47 @@ class TestAnnihilation:
                     )
 
     def test_exhaustive_points_are_the_distinct_image(self, small_grid):
-        # q^(n - deg g) distinct values g . x, since the kernel of g has q^(deg g)
+        # q^(n - deg g) distinct values g . x, since the kernel of g has q^(deg g),
+        # each packed as the columns of _linear are
         for t, fp in small_grid:
             for g in divisors_of_xn_minus_1(fp):
                 points = _annihilation_points(t, g.coeffs)
                 assert len(points) == len(set(points)) == t.q ** (t.n - g.degree)
                 image = {oracle_apply_action(t, g.coeffs, v) for v in range(t.size)}
-                assert set(points) == image, (t, str(g))
+                assert set(points) == {t._pack(v) for v in image}, (t, str(g))
 
     def test_matrix_kinds_keep_apart_in_the_cache(self):
         # A_g, M_g and the exhaustive image of one g are cached on one tower, here
         # a fresh one with odd p and s > 1; each must still match its oracle
-        _, t, fp = towers_on_both_paths(3, 2, 2)
+        base = base_field(3, 2)
+        t, fp = FieldTower(base, smallest_irreducible(base, 2)), factor_xn_minus_1(2, base)
         for g in divisors_of_xn_minus_1(fp):
             c = g.coeffs
             m_g, points = _trace_form_matrix(t, c), _annihilation_points(t, c)
             a_g = _action_matrix(t, c)
             acted = [oracle_apply_action(t, c, v) for v in range(t.size)]
             assert [t._combine(a_g, v) for v in range(t.size)] == acted, str(g)
-            assert sorted(points) == sorted(set(acted)), str(g)
+            assert sorted(points) == sorted({t._pack(v) for v in acted}), str(g)
             for lab in range(t.size):
                 image = t._combine(m_g, lab)
                 for k in range(t.n * t.s):
                     product = FFElement(t, oracle_tower_mul(t, lab, acted[t.p**k]))
                     assert image // t.p**k % t.p == oracle_trace(product), (str(g), lab, k)
+
+    @pytest.mark.parametrize("p,s,n", [(2, 2, 2), (3, 1, 3), (5, 1, 2)])
+    def test_exhaustive_scan_multiplies_no_field_elements(self, p, s, n, monkeypatch):
+        # once G and the images are cached, the exhaustive check evaluates each
+        # label's trace functional on the packed points: no mul_i, no trace_i
+        t, fp = tower_and_factors(p, s, n)
+        chars = all_chars(t)
+        orders = [char_order_bruteforce(chi, fp, check="exhaustive") for chi in chars]
+
+        def field_arithmetic(*args):
+            raise AssertionError("the exhaustive check multiplied field elements")
+
+        monkeypatch.setattr(FieldTower, "mul_i", field_arithmetic)
+        monkeypatch.setattr(FieldTower, "trace_i", field_arithmetic)
+        assert [char_order_bruteforce(chi, fp, check="exhaustive") for chi in chars] == orders
 
     def test_bad_check_mode(self, f4):
         t, _ = f4
@@ -327,14 +351,15 @@ class TestCharacterOrders:
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(OFF_GRID), st.data())
 def test_trace_form_matrix_entries_on_towers_off_the_grid(psn, data):
-    # coordinate k of M_g a is Tr(a * (g . p^k)), on both arithmetic paths
-    tables, vectors, fp = towers_on_both_paths(*psn)
-    label = data.draw(st.integers(0, tables.size - 1), label="label")
+    # coordinate k of M_g a is Tr(a * (g . p^k)), by the tower and by the oracles
+    t, fp = tower_and_factors(*psn)
+    label = data.draw(st.integers(0, t.size - 1), label="label")
     divisors = divisors_of_xn_minus_1(fp)
     g = divisors[data.draw(st.integers(0, len(divisors) - 1), label="divisor")]
-    for t in (tables, vectors):
-        image = t._combine(_trace_form_matrix(t, g.coeffs), label)
-        for k in range(t.n * t.s):
-            point = _apply_i(t, g.coeffs, t.p**k)
-            entry = image // t.p**k % t.p
-            assert entry == t.trace_i(t.mul_i(label, point)), (psn, str(g), label, k)
+    image = t._combine(_trace_form_matrix(t, g.coeffs), label)
+    for k in range(t.n * t.s):
+        point = _apply_i(t, g.coeffs, t.p**k)
+        entry = image // t.p**k % t.p
+        assert entry == t.trace_i(t.mul_i(label, point)), (psn, str(g), label, k)
+        product = FFElement(t, oracle_tower_mul(t, label, point))
+        assert entry == oracle_trace(product), (psn, str(g), label, k)

@@ -43,7 +43,6 @@ from qorder.cli import main
 from qorder.errors import SizeExceededError
 
 from conftest import tower_and_factors
-from test_action import towers_on_both_paths
 
 F2 = base_field(2)
 
@@ -291,12 +290,9 @@ class TestClassificationReport:
 
 @pytest.mark.parametrize("p,s,n", [(2, 1, 6), (3, 1, 4), (2, 2, 3), (2, 1, 8)])
 def test_sweeps_on_coefficient_vector_path(p, s, n):
-    # a tower built without build_log_tables runs every sweep on coefficient-vector
-    # multiplication (shift-and-xor for q = 2, schoolbook otherwise), which the
-    # table-backed grid never reaches
-    base = base_field(p, s)
-    t = FieldTower(base, smallest_irreducible(base, n))
-    fp = factor_xn_minus_1(n, base)
+    # every sweep and both report modes, with multiplication on coefficient
+    # vectors (shift-and-xor for q = 2, schoolbook otherwise) as on every tower
+    t, fp = tower_and_factors(p, s, n)
     assert reciprocal_order_sweep(t, fp).passed
     if t.size <= 64:
         assert reciprocal_order_sweep(t, fp, check="exhaustive").passed
@@ -306,28 +302,25 @@ def test_sweeps_on_coefficient_vector_path(p, s, n):
         assert sum(r.element_count for r in rep.rows) == t.size
         for row in rep.rows:
             assert row.element_count == row.char_count == row.phi == phi_q(row.divisor)
-    assert t._exp is None
 
 
 @pytest.mark.parametrize("p,s,n", VERIFICATION_GRID)
 def test_acceptance_sweep_on_coefficient_vector_path(p, s, n):
-    # the acceptance sweep of criteria 1 and 6 on the grid, with the top level
-    # built without build_log_tables so that it multiplies coefficient vectors
+    # the acceptance sweep of criteria 1 and 6 on the grid, on towers constructed
+    # directly rather than through build_tower, so the sweeps build every map cold
     base = base_field(p, s)
     t = FieldTower(base, smallest_irreducible(base, n))
     fp = factor_xn_minus_1(n, base)
     assert reciprocal_order_sweep(t, fp).passed
     assert orders_coincide_iff_self_reciprocal(t, fp).holds
-    assert t._exp is None
 
 
 def test_fast_report_past_table_bound():
-    # F_{2^15} lies past _EXP_LOG_BOUND: a full fq_order sweep on the
-    # coefficient-vector path, with Frobenius and the action as matrices
+    # F_{2^15} lies past _EXP_LOG_BOUND: a full fq_order sweep, with Frobenius
+    # and the action as matrices
     t = build_tower(2, 1, 15)
     fp = factor_xn_minus_1(15, t.base)
     rep = classification_report(t, fp, mode="fast")
-    assert t._exp is None
     assert sum(r.element_count for r in rep.rows) == 2**15
     for row in rep.rows:
         assert row.element_count == row.phi == phi_q(row.divisor)
@@ -452,19 +445,17 @@ KERNEL_TABLE_FIELDS = [
 
 @pytest.mark.parametrize("p,s,n", KERNEL_TABLE_FIELDS)
 def test_kernel_tables_match_combine(p, s, n):
-    # for A_g and M_g of every divisor, on the log-table tower and on the same
-    # tower multiplying coefficient vectors: x is in the kernel by the tables
-    # exactly when the matrix maps it to 0, and each kernel has q^deg g elements
-    tables, vectors, fp = towers_on_both_paths(p, s, n)
+    # for A_g and M_g of every divisor: x is in the kernel by the tables exactly
+    # when the matrix maps it to 0, and each kernel has q^deg g elements
+    t, fp = tower_and_factors(p, s, n)
     half = p ** (n * s // 2)
-    for t in (tables, vectors):
-        for g in divisors_of_xn_minus_1(fp):
-            for cols in (_action_matrix(t, g.coeffs), _trace_form_matrix(t, g.coeffs)):
-                lo, hi = t._kernel_tables(cols)
-                assert len(lo) == half and len(lo) * len(hi) == t.size
-                members = [lo[x % half] == hi[x // half] for x in range(t.size)]
-                assert members == [t._combine(cols, x) == 0 for x in range(t.size)]
-                assert sum(members) == t.q**g.degree, str(g)
+    for g in divisors_of_xn_minus_1(fp):
+        for cols in (_action_matrix(t, g.coeffs), _trace_form_matrix(t, g.coeffs)):
+            lo, hi = t._kernel_tables(cols)
+            assert len(lo) == half and len(lo) * len(hi) == t.size
+            members = [lo[x % half] == hi[x // half] for x in range(t.size)]
+            assert members == [t._combine(cols, x) == 0 for x in range(t.size)]
+            assert sum(members) == t.q**g.degree, str(g)
 
 
 @pytest.mark.parametrize("corrupt", ["action", "trace form"])
@@ -526,14 +517,8 @@ def test_element_sweep_builds_tables_for_the_codivisors_only(n, codivisors, monk
 @pytest.mark.parametrize("p,s,n", [*VERIFICATION_GRID, (2, 1, 11), (3, 1, 7)])
 def test_sweeps_match_per_element_routes(p, s, n):
     # element by element, the table-backed sweeps against fq_order and
-    # char_order_bruteforce; F_{2^11} and F_{3^7} split n*s unevenly and are built
-    # without log tables, so they multiply coefficient vectors
-    if (p, s, n) in VERIFICATION_GRID:
-        t, fp = tower_and_factors(p, s, n)
-    else:
-        base = base_field(p, s)
-        t, fp = FieldTower(base, smallest_irreducible(base, n)), factor_xn_minus_1(n, base)
-        assert t._exp is None
+    # char_order_bruteforce; F_{2^11} and F_{3^7} split n*s unevenly
+    t, fp = tower_and_factors(p, s, n)
     elements = [FFElement(t, v) for v in range(t.size)]
     order = {x: fq_order(x, fp) for x in elements}
     partition = elements_by_order(t, fp)

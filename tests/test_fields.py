@@ -34,8 +34,8 @@ from oracles import (
     oracle_trace,
 )
 
-# Towers past _EXP_LOG_BOUND, which compute with coefficient vectors and
-# Frobenius matrices: q = 2 (shift-xor multiply), q = 4, odd p, odd p with s = 2.
+# Towers past _EXP_LOG_BOUND, where even F_q has no log tables when s > 1:
+# q = 2 (shift-xor multiply), q = 4, odd p, odd p with s = 2.
 PAST_TABLE_BOUND = [(2, 1, 15), (2, 1, 16), (2, 2, 8), (3, 1, 10), (5, 1, 7), (3, 2, 5)]
 
 
@@ -129,46 +129,55 @@ class TestFieldAxioms:
                 assert t.mul_i(a, t.inv_i(a)) == 1
 
     def test_table_path_matches_schoolbook(self):
-        # the discrete-log tables must agree with coefficient-vector arithmetic
-        for p, s, n in [(2, 1, 4), (2, 2, 2), (3, 1, 3)]:
-            t = build_tower(p, s, n)
-            assert t._exp is not None
-            for a in range(t.size):
-                for b in range(t.size):
-                    assert t.mul_i(a, b) == t._mul_vec(a, b)
+        # F_q with s > 1 multiplies and inverts through log tables: every pair
+        # against the schoolbook digit-list oracle
+        for p, s in [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3)]:
+            field = base_field(p, s)
+            for a, b in itertools.product(range(field.size), repeat=2):
+                assert field.mul(a, b) == oracle_base_mul(p, field.modulus, a, b), (a, b)
+            for a in range(1, field.size):
+                assert oracle_base_mul(p, field.modulus, a, field.inv(a)) == 1, a
 
     def test_table_path_matches_schoolbook_sampled_large(self):
-        # same, sampled on the largest grid fields
-        import random
-
+        # tower products against the oracle, sampled on the largest grid fields;
+        # for s > 1 their F_q coefficients multiply through F_q's log tables
         rng = random.Random(77)
         for p, s, n in [(2, 1, 10), (3, 1, 6), (2, 2, 5), (3, 2, 3)]:
             t = build_tower(p, s, n)
-            assert t._exp is not None
             for _ in range(2000):
                 a = rng.randrange(t.size)
                 b = rng.randrange(t.size)
-                assert t.mul_i(a, b) == t._mul_vec(a, b)
+                assert t.mul_i(a, b) == oracle_tower_mul(t, a, b), (a, b)
             for _ in range(200):
                 a = rng.randrange(1, t.size)
-                assert t.mul_i(a, t.inv_i(a)) == 1
+                assert oracle_tower_mul(t, a, t.inv_i(a)) == 1
                 power = 1
                 for _ in range(t.q):
-                    power = t._mul_vec(power, a)
+                    power = oracle_tower_mul(t, power, a)
                 assert t.frob_i(a, 1) == power
 
     @pytest.mark.parametrize(
         "p,s,n", [(2, 1, 9), (3, 1, 5), (2, 2, 4), (3, 2, 3), (2, 2, 1), (3, 2, 1)]
     )
     def test_log_tables_step_by_the_generator(self, p, s, n):
-        # exp[i + 1] = exp[i] * gen by coefficient-vector products, however the
-        # tables were stepped, and log inverts exp
-        t = build_tower(p, s, n)
-        exp, log, m = t._exp, t._log, t.size - 1
-        assert len(exp) == m and exp[0] == 1
-        for i in range(m):
-            assert t._mul_vec(exp[i], exp[1]) == exp[(i + 1) % m], i
-            assert log[exp[i]] == i
+        # F_{p^(s*n)} built as F_q keeps log tables: the powers of its first
+        # primitive element, stepped by mul and checked against the oracle, meet
+        # every nonzero element once, and inv undoes each of them
+        field = base_field(p, s * n)
+        g0, m = field.modulus, field.size - 1
+        for gen in range(2, field.size):
+            powers = [1]
+            while len(powers) <= m:
+                step = field.mul(powers[-1], gen)
+                assert step == oracle_base_mul(p, g0, powers[-1], gen), (gen, powers[-1])
+                if step == 1:
+                    break
+                powers.append(step)
+            if len(powers) == m:
+                break
+        assert sorted(powers) == list(range(1, field.size))
+        for a in powers:
+            assert oracle_base_mul(p, g0, a, field.inv(a)) == 1, a
 
     def test_pow_and_inv(self):
         t = build_tower(3, 1, 2)
@@ -368,8 +377,8 @@ class TestFFElement:
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 728), st.integers(0, 728), st.integers(0, 728))
 def test_f729_axioms_random(a, b, c):
-    # a larger field, sampled rather than exhaustive; 729 < 2^14, so this
-    # runs on the log tables, not on coefficient-vector arithmetic
+    # a larger field, sampled rather than exhaustive; its F_9 coefficients
+    # multiply through F_9's log tables
     t = build_tower(3, 2, 3)
     assert t.mul_i(a, t.add_i(b, c)) == t.add_i(t.mul_i(a, b), t.mul_i(a, c))
     assert t.mul_i(t.mul_i(a, b), c) == t.mul_i(a, t.mul_i(b, c))
@@ -407,11 +416,7 @@ class TestBaseFieldArithmetic:
     def test_sampled_on_both_paths(self, p, s):
         # 2^8 and 3^5 multiply through log tables; 2^15 and 3^9 lie past
         # _EXP_LOG_BOUND and multiply coefficient vectors over F_p
-        import random
-
         field = base_field(p, s)
-        tower = field.mul.__self__
-        assert (tower._exp is not None) == (field.size <= _EXP_LOG_BOUND)
         rng = random.Random(p * 100 + s)
         pairs = [(rng.randrange(field.size), rng.randrange(field.size)) for _ in range(400)]
         check_base_arithmetic(field, [(0, 0), (1, 0), (field.size - 1, 1), *pairs])
@@ -453,7 +458,7 @@ class TestBaseFieldEquality:
 
 class TestKernelPastTableBound:
     """Frobenius and multiplication against the digit-list oracles, on towers
-    past the table bound and on F_{2^13}, a q = 2 tower on the log tables."""
+    past the table bound and on F_{2^13}, just below it."""
 
     @staticmethod
     def points(t, seed):
@@ -462,10 +467,9 @@ class TestKernelPastTableBound:
 
     @pytest.mark.parametrize("p,s,n", [*PAST_TABLE_BOUND, (2, 1, 13)])
     def test_arithmetic_path(self, p, s, n):
+        # every tower multiplies one way; frob_table only labels the small ones
         t = build_tower(p, s, n)
-        past = t.size > _EXP_LOG_BOUND
-        assert (t._exp is None) == past
-        assert (t.frob_table(1) is None) == past
+        assert (t.frob_table(1) is None) == (t.size > _EXP_LOG_BOUND)
 
     @pytest.mark.parametrize("p,s,n", [*PAST_TABLE_BOUND, (2, 1, 13)])
     def test_frobenius_matches_oracle(self, p, s, n):
@@ -501,16 +505,13 @@ class TestKernelPastTableBound:
     @pytest.mark.parametrize("p,s,n", [*PAST_TABLE_BOUND, (2, 1, 13)])
     def test_multiplication_matches_oracle(self, p, s, n):
         # q = 2 towers multiply and reduce bit masks, the others F_q coefficient
-        # lists with the helpers FqPoly uses; on F_{2^13}, mul_i reads log tables
-        # built through _mul_vec
+        # lists with the helpers FqPoly uses
         t = build_tower(p, s, n)
         rng = random.Random(p * 1000 + s * 100 + n)
         pairs = [(a, b) for a in self.points(t, seed=n) for b in (1, t.q, t.size - 1)]
         pairs += [(rng.randrange(t.size), rng.randrange(t.size)) for _ in range(30)]
         for a, b in pairs:
-            expected = oracle_tower_mul(t, a, b)
-            assert t._mul_vec(a, b) == expected, (a, b)
-            assert t.mul_i(a, b) == expected, (a, b)
+            assert t.mul_i(a, b) == oracle_tower_mul(t, a, b), (a, b)
 
 
 class TestTowerAddition:

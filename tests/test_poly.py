@@ -210,11 +210,11 @@ class TestBitMaskArithmetic:
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
     def test_tower_product_matches_oracle(self, n, data):
-        # past the table bound, so mul_i is _mul_vec on the bit masks of F_2[u]
+        # mul_i multiplies and reduces the bit masks of F_2[u] with _clmul and _clmod
         t = build_tower(2, 1, n)
         element = st.one_of(st.sampled_from([0, 1, 2, t.size - 1]), st.integers(0, t.size - 1))
         x, y = data.draw(element), data.draw(element)
-        assert t._mul_vec(x, y) == oracle_tower_mul(t, x, y)
+        assert t.mul_i(x, y) == oracle_tower_mul(t, x, y)
 
 
 # -- monic reciprocal -----------------------------------------------------------
