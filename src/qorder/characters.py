@@ -8,17 +8,15 @@ is the monic generator of its annihilator ideal, found here both by a
 definitional divisor scan (the oracle) and by the coefficient-reversal
 fast path through the label's element order.
 
-The scan tests g . chi = 1 for each divisor g in one of two ways, both resting
-on the F_p-bilinear trace form (a, y) -> Tr(a*y).  Basis mode: the values
-Tr(a * (g . x)) at the n*s basis points x are the entries of one F_p-matrix
-M_g applied to a, the transpose of the trace Gram matrix G composed with the
-action matrix.  Exhaustive mode evaluates Tr(a * v) at every distinct value
-v = g . x, the image of the action matrix, as the dot product of v's base-p
-digits with those of the label's trace functional G a.  M_g and the image are
-built once per tower and divisor in the tower's map cache.  Neither mode uses
-the reciprocal relation that the fast path rests on.  A single query applies
-M_g to the label (_char_order_i); a sweep over the whole field builds the
-kernel tables of every M_g once and looks each label up in them (_char_order).
+Every character value is read from one F_p-linear functional: Tr(a * v) is
+the dot product of v's base-p digits with those of u = G a, for the trace Gram
+matrix G (_functional).  The scan tests g . chi = 1 for each divisor g by that
+functional vanishing on the n*s columns g . p^t of the action matrix A_g (basis
+mode), since the trace form is bilinear, or on every distinct value v = g . x,
+the image of A_g (exhaustive mode).  Neither mode uses the reciprocal relation
+that the fast path rests on.  A sweep over the whole field instead builds the
+matrix M_g of a -> (Tr(a * (g . p^t)))_t entry by entry from the functional,
+and looks each label up in the kernel tables of every M_g once (_char_order).
 """
 
 from __future__ import annotations
@@ -74,7 +72,7 @@ def char_eval_exponent(chi: AdditiveCharacter, x: FFElement) -> int:
     tower = chi.tower
     if x.tower != tower:
         raise FieldMismatchError("character and argument from different towers")
-    return tower.trace_i(tower.mul_i(chi.label.value, x.value))
+    return _functional(tower, chi.label.value)(tower._pack(x.value))
 
 
 def char_mul(a: AdditiveCharacter, b: AdditiveCharacter) -> AdditiveCharacter:
@@ -94,15 +92,37 @@ def _check_mode(check: str) -> None:
         raise ValueError(f"check must be one of {_CHECK_MODES}")
 
 
+def _functional(tower: FieldTower, lab: int) -> Callable[[int], int]:
+    """v -> Tr(lab * v), the exponent of chi_lab at v, on v packed as by _linear.
+
+    Digit t of u = G lab is Tr(p^t * lab), so Tr(lab * v) = sum_t u_t v_t mod p:
+    for p = 2 the parity of u & v.  For odd p, u's digits packed highest first
+    against v's lowest first put that sum in field n*s - 1 of one int product,
+    below 2^_width, and no carry crosses fields.
+    """
+    p, u = tower.p, tower._combine(tower._trace_gram(), lab)
+    if p == 2:
+        return lambda v: (u & v).bit_count() & 1
+    w, digits = tower._width, tower.n * tower.s
+    packed = 0
+    for _ in range(digits):
+        u, d = divmod(u, p)
+        packed = packed << w | d
+    top, mask = w * (digits - 1), (1 << w) - 1
+    return lambda v: (packed * v >> top & mask) % p
+
+
 @_cached_map
 def _trace_form_matrix(tower: FieldTower, coeffs: tuple[int, ...]) -> tuple[int, ...]:
     """M_g, the F_p-matrix of a -> (Tr(a * (g . p^t)))_t for t < n*s.
 
-    Row t of M_g is G (g . p^t) for the trace Gram matrix G, so M_g = A_g^T G
-    with A_g the action matrix: the transpose of G composed with A_g.
+    Entry t of M_g a is a's functional at column t of the action matrix A_g.
+    Only a sweep needs M_g, for its kernel tables.
     """
-    gram, action = tower._trace_gram(), _action_matrix(tower, coeffs)
-    return tower._transpose(tower._compose(gram, action))
+    cols, p = _action_matrix(tower, coeffs), tower.p
+    return tower._linear(
+        lambda a: sum(e * p**t for t, e in enumerate(map(_functional(tower, a), cols)))
+    )
 
 
 @_cached_map
@@ -121,27 +141,12 @@ def _annihilation_test(
 ) -> Callable[[tuple[int, ...]], bool]:
     """The test of g, by its coeffs, for annihilating the character labeled lab.
 
-    Made once per label: check="exhaustive" takes its trace functional u = G lab,
-    whose digit t is Tr(p^t * lab), so that Tr(lab * v) = sum_t u_t v_t mod p.
+    Made once per label: lab's functional must vanish on the n*s columns of A_g
+    (check="basis") or on every point of the action's image (check="exhaustive").
     """
-    if check == "basis":
-        return lambda coeffs: tower._combine(_trace_form_matrix(tower, coeffs), lab) == 0
-    p, u = tower.p, tower._combine(tower._trace_gram(), lab)
-    if p == 2:
-        return lambda coeffs: not any(
-            (u & v).bit_count() & 1 for v in _annihilation_points(tower, coeffs)
-        )
-    # u's digits highest first against the points' lowest first: field n*s - 1
-    # of the product is sum_t u_t v_t < 2^_width, and no carry crosses fields
-    w, digits = tower._width, tower.n * tower.s
-    packed = 0
-    for _ in range(digits):
-        u, d = divmod(u, p)
-        packed = packed << w | d
-    top, mask = w * (digits - 1), (1 << w) - 1
-    return lambda coeffs: not any(
-        (packed * v >> top & mask) % p for v in _annihilation_points(tower, coeffs)
-    )
+    points = _action_matrix if check == "basis" else _annihilation_points
+    f = _functional(tower, lab)
+    return lambda coeffs: not any(map(f, points(tower, coeffs)))
 
 
 def char_annihilated_by(
@@ -149,11 +154,8 @@ def char_annihilated_by(
 ) -> bool:
     """True iff g . chi is the trivial character, i.e. Tr(label * (g . x)) = 0 for all x.
 
-    x -> Tr(label * (g . x)) is F_p-linear, and the trace form is bilinear, so
-    check="basis" tests all n*s basis points at once: the label lies in the
-    kernel of one matrix M_g per divisor (see _trace_form_matrix).
-    check="exhaustive" evaluates Tr(label * v) at every distinct value
-    v = g . x over the whole field.
+    x -> Tr(label * (g . x)) is F_p-linear, so check="basis" tests it at the
+    n*s basis points only; check="exhaustive" at every distinct value g . x.
     """
     _check_mode(check)
     tower = chi.tower

@@ -10,7 +10,8 @@ class NonPrimeError(QOrderError, ValueError):
 
 
 class SizeExceededError(QOrderError):
-    """A field, enumeration, or divisor lattice exceeds the configured size bound."""
+    """A field, enumeration, or divisor lattice exceeds the configured size bound,
+    or an integer the range where primality is decided exactly."""
 
 
 class ZeroConstantTermError(QOrderError, ValueError):

@@ -23,11 +23,11 @@ addition is F_p digit arithmetic: XOR for p = 2, one loop over base-p digits
 otherwise.
 F_p-linear maps (Frobenius, the trace, the trace form's Gram matrix, and the
 matrices of action.py and characters.py) share one column layout, fixed per
-tower: _linear builds, _combine applies, _compose and _transpose derive, and
-_cached_map keeps each map in the tower's one cache.  A sweep over the whole
-field asks only whether each element lies in a matrix's kernel; _kernel_tables
-answers that with two list lookups, from tables of about twice the square
-root of the field size per matrix.
+tower: _linear builds, _combine applies, _compose derives, and _cached_map
+keeps each map in the tower's one cache.  A sweep over the whole field asks
+only whether each element lies in a matrix's kernel; _kernel_tables answers
+that with two list lookups, from tables of about twice the square root of the
+field size per matrix.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from __future__ import annotations
 import itertools
 import operator
 from functools import lru_cache, reduce, wraps
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from .errors import FieldMismatchError, NonPrimeError, ParseError, SizeExceededError
 from .integers import is_prime, prime_factors
@@ -45,6 +45,7 @@ from .poly import (
     _clmul,
     _coeff_divmod,
     _coeff_mul,
+    _monic_walk,
     _parse_coeffs,
     is_irreducible,
 )
@@ -120,8 +121,10 @@ class BaseField:
             out.append(r)
         return tuple(out)
 
-    def lex_order(self) -> tuple[int, ...]:
+    def lex_order(self) -> Sequence[int]:
         """All q coefficients sorted by their base-p digit tuples."""
+        if self.s == 1:
+            return range(self.p)
         if self._lex is None:
             self._lex = tuple(sorted(range(self.size), key=self.digits))
         return self._lex
@@ -176,13 +179,10 @@ def smallest_irreducible(field: BaseField, degree: int) -> FqPoly:
     """Lexicographically smallest monic irreducible of the given degree."""
     if degree == 1:
         return FqPoly.x(field)  # x itself: constant 0 sorts first
-    order = field.lex_order()
     # a zero constant term means divisibility by x, so skip that whole block
-    for c0 in order[1:]:
-        for rest in itertools.product(order, repeat=degree - 1):
-            f = FqPoly(field, (c0, *rest, 1))
-            if is_irreducible(f):
-                return f
+    for f in _monic_walk(field, degree, field.size ** (degree - 1)):
+        if is_irreducible(f):
+            return f
     raise AssertionError("irreducible polynomials exist for every degree")
 
 
@@ -418,19 +418,10 @@ class FieldTower:
         combine = self._combine
         return self._linear(lambda x: combine(a, combine(b, x)))
 
-    def _transpose(self, cols: tuple[int, ...]) -> tuple[int, ...]:
-        """The columns of the transposed map, from and to the layout of _linear."""
-        w = self._width
-        mask = (1 << w) - 1
-        return tuple(
-            sum((col >> w * t & mask) << w * j for j, col in enumerate(cols))
-            for t in range(len(cols))
-        )
-
     @_cached_map
     def _frobenius_columns(self) -> list[tuple[int, ...]]:
         """cols[k] is the matrix of the p-power Frobenius x -> x^(p^k), k < n*s."""
-        to_p = self._linear(lambda b: reduce(self.mul_i, [b] * self.p))
+        to_p = self._linear(lambda b: self.pow_i(b, self.p))
         cols = [self._linear(lambda b: b)]
         while len(cols) < self.n * self.s:
             cols.append(self._compose(to_p, cols[-1]))

@@ -6,15 +6,23 @@ Everything here is deterministic and sized for desk-scale inputs
 
 from functools import lru_cache
 
-# Deterministic Miller-Rabin witness set, valid for all n < 3.3e24.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+from .errors import SizeExceededError
+
+# The first 13 primes: no composite below psi_13 is a strong pseudoprime to
+# all of them, so Miller-Rabin on them is deterministic there.  psi_13 itself
+# is composite and passes all 13 (Sorenson & Webster, Math. Comp. 86, 2017).
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981  # psi_13
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test for desk-scale integers."""
+    """Deterministic primality test for n below psi_13 (about 3.3e24); larger n
+    raise SizeExceededError, since the test could call a composite prime."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    if n >= _MR_BOUND:
+        raise SizeExceededError(f"primality of {n} is only decided below {_MR_BOUND}")
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d = n - 1

@@ -403,12 +403,23 @@ def monic_polynomials(field: "BaseField", degree: int) -> Iterator[FqPoly]:
     """All monic polynomials of the given degree, in (constant-term-first) lex order."""
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    if degree == 0:
-        yield FqPoly.one(field)
-        return
-    order = field.lex_order()
-    for lower in itertools.product(order, repeat=degree):
-        yield FqPoly(field, (*lower, 1))
+    return _monic_walk(field, degree, 0)
+
+
+def _monic_walk(field: "BaseField", degree: int, start: int) -> Iterator[FqPoly]:
+    """The monic polynomials of the given degree in lex order, from the start-th on.
+
+    The base-q digits of k, most significant first, index field.lex_order() for
+    the lower coefficients of the k-th, so the walk never copies that order
+    (range(p) when s = 1), however large q is.
+    """
+    order, q = field.lex_order(), field.size
+    for k in range(start, q**degree):
+        lower = []
+        for _ in range(degree):
+            k, r = divmod(k, q)
+            lower.append(order[r])
+        yield FqPoly(field, (*reversed(lower), 1))
 
 
 def is_irreducible(f: FqPoly) -> bool:

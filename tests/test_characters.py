@@ -238,18 +238,37 @@ class TestAnnihilation:
 
     @pytest.mark.parametrize("p,s,n", [(2, 2, 2), (3, 1, 3), (5, 1, 2)])
     def test_exhaustive_scan_multiplies_no_field_elements(self, p, s, n, monkeypatch):
-        # once G and the images are cached, the exhaustive check evaluates each
-        # label's trace functional on the packed points: no mul_i, no trace_i
+        # once G and every A_g are cached, both checks and both evaluations read
+        # each label's trace functional on packed points: no mul_i, no trace_i
         t, fp = tower_and_factors(p, s, n)
-        chars = all_chars(t)
-        orders = [char_order_bruteforce(chi, fp, check="exhaustive") for chi in chars]
+        chars, divisors = all_chars(t), divisors_of_xn_minus_1(fp)
+        t._trace_gram()
+        for g in divisors:
+            _action_matrix(t, g.coeffs)
+
+        def characters_read():
+            orders = [
+                char_order_bruteforce(chi, fp, check=check)
+                for check in _CHECK_MODES
+                for chi in chars
+            ]
+            values = [char_eval_exponent(chi, psi.label) for chi in chars for psi in chars]
+            acted = [
+                char_action_exponent(g, chi, psi.label)
+                for g in divisors
+                for chi in chars
+                for psi in chars
+            ]
+            return orders, values, acted
+
+        expected = characters_read()
 
         def field_arithmetic(*args):
-            raise AssertionError("the exhaustive check multiplied field elements")
+            raise AssertionError("a character test multiplied field elements")
 
         monkeypatch.setattr(FieldTower, "mul_i", field_arithmetic)
         monkeypatch.setattr(FieldTower, "trace_i", field_arithmetic)
-        assert [char_order_bruteforce(chi, fp, check="exhaustive") for chi in chars] == orders
+        assert characters_read() == expected
 
     def test_bad_check_mode(self, f4):
         t, _ = f4

@@ -316,8 +316,8 @@ def test_acceptance_sweep_on_coefficient_vector_path(p, s, n):
 
 
 def test_fast_report_past_table_bound():
-    # F_{2^15} lies past _EXP_LOG_BOUND: a full fq_order sweep, with Frobenius
-    # and the action as matrices
+    # a full fq_order sweep on F_{2^15}, past _EXP_LOG_BOUND, where the tower
+    # computes as every tower does, with Frobenius and the action as matrices
     t = build_tower(2, 1, 15)
     fp = factor_xn_minus_1(15, t.base)
     rep = classification_report(t, fp, mode="fast")

@@ -476,3 +476,27 @@ def test_module_invocation_smoke():
     )
     assert proc.returncode == 0
     assert "verdict: pass" in proc.stdout
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_char_order_with_a_61_bit_prime(n):
+    # p = 2^61 - 1: Frobenius is a power, F_p's lex order is range(p), and the
+    # canonical modulus search never copies it
+    field = ["--p", str(2**61 - 1), "--n", str(n), "--size-bound", str(10**72)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "qorder", *field, "char-order", "5"],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "verdict: pass" in proc.stdout
+
+
+@pytest.mark.parametrize("p", [318665857834031151167461, 3317044064679887385961981])
+def test_primes_past_the_exact_test_exit_2(capsys, p):
+    # psi_12, composite, and psi_13, where the primality test stops being exact
+    code, out, err = run_cli(capsys, "--p", str(p), "--n", "1", "char-order", "5")
+    assert code == 2
+    assert out == "" and err.startswith("error:")
