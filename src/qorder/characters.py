@@ -16,13 +16,14 @@ mode), since the trace form is bilinear, or on every distinct value v = g . x,
 the image of A_g (exhaustive mode).  Neither mode uses the reciprocal relation
 that the fast path rests on.  A sweep over the whole field instead builds the
 matrix M_g of a -> (Tr(a * (g . p^t)))_t entry by entry from the functional,
-and looks each label up in the kernel tables of every M_g once (_char_order).
+and walks each M_g's kernel once, last divisor first, so that each label keeps
+the first divisor in scan order whose kernel holds it (_char_order).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 from .action import _action_matrix, _check_coeff_field, apply_action, fq_order
 from .errors import FieldMismatchError
@@ -117,7 +118,7 @@ def _trace_form_matrix(tower: FieldTower, coeffs: tuple[int, ...]) -> tuple[int,
     """M_g, the F_p-matrix of a -> (Tr(a * (g . p^t)))_t for t < n*s.
 
     Entry t of M_g a is a's functional at column t of the action matrix A_g.
-    Only a sweep needs M_g, for its kernel tables.
+    Only a sweep needs M_g, for its kernel walk.
     """
     cols, p = _action_matrix(tower, coeffs), tower.p
     return tower._linear(
@@ -176,23 +177,29 @@ def _char_order_i(
 
 def _char_order(
     tower: FieldTower, divisors: tuple[FqPoly, ...], check: str
-) -> Callable[[int], FqPoly]:
-    """_char_order_i for a sweep: check="basis" builds each M_g's kernel tables once."""
+) -> Sequence[int]:
+    """Every label's order by the definitional scan, as its index in divisors.
+
+    The indices sit in an array("H"), 2 bytes per label.  check="basis" starts
+    every label at x^n - 1, the last divisor, then writes k over ker
+    M_{divisors[k]} for k from the second-to-last divisor down to 0, so the first
+    divisor in scan order that annihilates a label is written last.
+    check="exhaustive" scans each label over the action's image points.
+    """
+    from array import array  # on the first sweep only: runs without one never load it
+
     if check == "exhaustive":
-        return lambda v: _char_order_i(tower, divisors, v, check)
-    kernels = [
-        (g, *tower._kernel_tables(_trace_form_matrix(tower, g.coeffs))) for g in divisors
-    ]
-    half = tower._split
-
-    def order(v: int) -> FqPoly:
-        j, i = divmod(v, half)
-        for g, lo, hi in kernels:
-            if lo[i] == hi[j]:
-                return g
-        raise AssertionError("x^n - 1 annihilates every character")
-
-    return order
+        index = {g: k for k, g in enumerate(divisors)}.__getitem__
+        scan = (_char_order_i(tower, divisors, v, check) for v in range(tower.size))
+        return array("H", map(index, scan))
+    last = len(divisors) - 1
+    orders = array("H", [last]) * tower.size
+    for k in reversed(range(last)):
+        matrix = _trace_form_matrix(tower, divisors[k].coeffs)
+        for base, members in tower._kernel_walk(matrix):
+            for i in members:
+                orders[base + i] = k
+    return orders
 
 
 def char_order_bruteforce(

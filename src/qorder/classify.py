@@ -5,14 +5,13 @@ their orders, verifies that the two order notions coincide exactly on the
 self-reciprocal orders, decides the Meyn criterion for a given (q, n), and
 locates primitive normal elements by exhaustive lexicographic search.
 
-A sweep makes the checks of the per-element functions once, then runs the
-order kernels of action.py and characters.py on the elements as plain ints;
-per-divisor data such as reciprocals is looked up once per divisor.  Elements
-and characters are wrapped in FFElement and AdditiveCharacter only where a
-result holds them: partitions, counterexamples, the element found.
-
-The sweep routes of those kernels, action._element_order and
-characters._char_order, build their divisor data once per sweep;
+A sweep makes the checks of the per-element functions once, then takes every
+element's order and its character's order as index arrays into the divisors,
+from action._element_order and characters._char_order, which walk each divisor
+kernel once.  A check judges each (element order, character order) index pair
+once, and walks the elements again, in range order, only when a pair fails.
+Elements and characters are wrapped in FFElement and AdditiveCharacter only
+where a result holds them: partitions, counterexamples, the element found.
 find_primitive_normal, which stops at its first hit, tests as is_normal does.
 """
 
@@ -76,14 +75,21 @@ def _scan_divisors(
     return divisors_of_xn_minus_1(fp)
 
 
-def _order_pairs(
-    tower: FieldTower, fp: FactoredPoly, divisors: tuple[FqPoly, ...], check: str
-) -> Iterator[tuple[int, FqPoly, FqPoly]]:
-    """Every element value with its order and its character's definitional order."""
-    element_order = _element_order(tower, fp)
-    char_order = _char_order(tower, divisors, check)
-    for v in range(tower.size):
-        yield v, element_order(v), char_order(v)
+def _failures(
+    tower: FieldTower, fp: FactoredPoly, divisors: tuple[FqPoly, ...], check: str, fails
+) -> Iterator[tuple[int, int, int]]:
+    """(v, m, c) in range order for each element v whose index pair fails.
+
+    m and c index v's order and its character's definitional order in divisors;
+    fails(m, c) judges each pair once, and only a failing pair walks the elements.
+    """
+    elements = _element_order(tower, fp, divisors)
+    chars = _char_order(tower, divisors, check)
+    failing = {pair for pair in set(zip(elements, chars)) if fails(*pair)}
+    if failing:
+        for v, pair in enumerate(zip(elements, chars)):
+            if pair in failing:
+                yield v, *pair
 
 
 def elements_by_order(
@@ -97,13 +103,11 @@ def elements_by_order(
     Every divisor of x^n - 1 is realized, by phi_q(f) > 0 elements each.
     """
     _check_sweep(tower, fp, size_bound)
-    partition: dict[FqPoly, set[FFElement]] = {
-        f: set() for f in divisors_of_xn_minus_1(fp)
-    }
-    order = _element_order(tower, fp)
-    for v in range(tower.size):
-        partition[order(v)].add(FFElement(tower, v))
-    return partition
+    divisors = divisors_of_xn_minus_1(fp)
+    parts: list[set[FFElement]] = [set() for _ in divisors]
+    for v, k in enumerate(_element_order(tower, fp, divisors)):
+        parts[k].add(FFElement(tower, v))
+    return dict(zip(divisors, parts))
 
 
 def characters_by_order(
@@ -129,11 +133,10 @@ def characters_by_order(
             for f in divisors_of_xn_minus_1(fp)
         }
     divisors = _scan_divisors(tower, fp, check, size_bound)
-    partition: dict[FqPoly, set[AdditiveCharacter]] = {f: set() for f in divisors}
-    order = _char_order(tower, divisors, check)
-    for v in range(tower.size):
-        partition[order(v)].add(AdditiveCharacter(FFElement(tower, v)))
-    return partition
+    chars: list[set[AdditiveCharacter]] = [set() for _ in divisors]
+    for v, k in enumerate(_char_order(tower, divisors, check)):
+        chars[k].add(AdditiveCharacter(FFElement(tower, v)))
+    return dict(zip(divisors, chars))
 
 
 @dataclass(frozen=True)
@@ -165,11 +168,11 @@ def orders_coincide_iff_self_reciprocal(
     does not assume the reciprocal relation it is probing.
     """
     divisors = _scan_divisors(tower, fp, check, size_bound)
-    self_reciprocal = {g: is_self_reciprocal(g) for g in divisors}
-    for v, m, char_order in _order_pairs(tower, fp, divisors, check):
-        if (char_order == m) != self_reciprocal[m]:
-            x = FFElement(tower, v)
-            return CoincidenceCheck(holds=False, counterexample=(x, m, char_order))
+    self_reciprocal = [is_self_reciprocal(g) for g in divisors]
+    fails = lambda m, c: (c == m) != self_reciprocal[m]
+    for v, m, c in _failures(tower, fp, divisors, check, fails):
+        x = FFElement(tower, v)
+        return CoincidenceCheck(holds=False, counterexample=(x, divisors[m], divisors[c]))
     return CoincidenceCheck(holds=True, counterexample=None)
 
 
@@ -201,17 +204,17 @@ def reciprocal_order_sweep(
     size_bound: int = DEFAULT_SIZE_BOUND,
 ) -> ReciprocalOrderSweep:
     divisors = _scan_divisors(tower, fp, check, size_bound)
-    reciprocal = {g: monic_reciprocal(g) for g in divisors}
-    mismatches = []
-    for v, m, scanned in _order_pairs(tower, fp, divisors, check):
-        if scanned != reciprocal[m]:
-            mismatches.append((FFElement(tower, v), scanned, reciprocal[m]))
+    reciprocal = [monic_reciprocal(g) for g in divisors]
+    fails = lambda m, c: divisors[c] != reciprocal[m]
+    failures = _failures(tower, fp, divisors, check, fails)
     return ReciprocalOrderSweep(
         p=tower.p,
         s=tower.s,
         n=tower.n,
         total=tower.size,
-        mismatches=tuple(mismatches),
+        mismatches=tuple(
+            (FFElement(tower, v), divisors[c], reciprocal[m]) for v, m, c in failures
+        ),
     )
 
 
@@ -354,18 +357,18 @@ def classification_report(
     """
     if mode not in ("oracle", "fast"):
         raise ValueError("mode must be 'oracle' or 'fast'")
-    element_counts: Counter[FqPoly] = Counter()
-    char_counts: Counter[FqPoly] = Counter()
     if mode == "oracle":
         divisors = _scan_divisors(tower, fp, check, size_bound)
-        for _, m, char_order in _order_pairs(tower, fp, divisors, check):
-            element_counts[m] += 1
-            char_counts[char_order] += 1
+        chars = Counter(_char_order(tower, divisors, check))
     else:
         _check_sweep(tower, fp, size_bound)
-        element_counts.update(map(_element_order(tower, fp), range(tower.size)))
-        for m, count in element_counts.items():
-            char_counts[monic_reciprocal(m)] = count
+        divisors = divisors_of_xn_minus_1(fp)
+    elements = Counter(_element_order(tower, fp, divisors))
+    element_counts = Counter({divisors[k]: count for k, count in elements.items()})
+    if mode == "oracle":
+        char_counts = Counter({divisors[k]: count for k, count in chars.items()})
+    else:
+        char_counts = Counter({monic_reciprocal(f): c for f, c in element_counts.items()})
     rows = []
     for f, phi in divisor_phi_table(fp):
         rows.append(

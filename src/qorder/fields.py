@@ -24,10 +24,10 @@ otherwise.
 F_p-linear maps (Frobenius, the trace, the trace form's Gram matrix, and the
 matrices of action.py and characters.py) share one column layout, fixed per
 tower: _linear builds, _combine applies, _compose derives, and _cached_map
-keeps each map in the tower's one cache.  A sweep over the whole field asks
-only whether each element lies in a matrix's kernel; _kernel_tables answers
-that with two list lookups, from tables of about twice the square root of the
-field size per matrix.
+keeps each map in the tower's one cache.  A sweep over the whole field needs
+each divisor matrix only through its kernel: _kernel_walk yields the kernel row
+by row, from the matrix's images of about twice the square root of the field
+size many points, so a sweep touches each kernel element once.
 """
 
 from __future__ import annotations
@@ -249,7 +249,7 @@ class FieldTower:
         total = self.n * self.s
         # bits per base-p digit in _linear's layout: a sum of n*s products below p^2
         self._width = 1 if self.p == 2 else (total * (self.p - 1) ** 2).bit_length()
-        self._split = self.p ** (total // 2)  # B, the split of _kernel_tables
+        self._split = self.p ** (total // 2)  # B, the row length of _kernel_walk
         self._maps = {}
 
     @property
@@ -398,20 +398,26 @@ class FieldTower:
             value = value * p + (acc >> shift & mask) % p
         return value
 
-    def _kernel_tables(self, cols: tuple[int, ...]) -> tuple[list[int], list[int]]:
-        """Split tables (lo, hi) for membership of every x in the kernel of A = cols.
+    def _kernel_walk(self, cols: tuple[int, ...]) -> Iterator[tuple[int, list[int]]]:
+        """The kernel of A = cols, one row at a time: (j*B, [i : A (j*B + i) = 0]).
 
-        With B = _split, lo[i] = A i for i < B and hi[j] = -A (j*B), so A x = 0
-        exactly when lo[x % B] == hi[x // B]: A is F_p-linear and x % B,
-        (x // B) * B are the low and high base-p digits of x.  The two lists hold
-        p^floor(n*s/2) + p^ceil(n*s/2) entries, about twice the square root of the
-        field size, which suits sweeps over the whole field (the table method of
-        Arlazarov, Dinic, Kronrod and Faradzev, 1970).
+        With B = _split, x = j*B + i is in the kernel exactly when A i = -A (j*B):
+        A is F_p-linear and i, j*B are the low and high base-p digits of x.  The
+        low images A i, i < B, are grouped by value once; row j reads its members
+        from the group of -A (j*B), found through the columns of -A, and rows
+        without members are skipped.  Only p^floor(n*s/2) low indices are held and
+        the kernel is never built, which suits sweeps over the whole field (the
+        table method of Arlazarov, Dinic, Kronrod and Faradzev, 1970).
         """
-        combine, neg_i, half = self._combine, self.neg_i, self._split
-        lo = [combine(cols, i) for i in range(half)]
-        hi = [neg_i(combine(cols, j * half)) for j in range(self.size // half)]
-        return lo, hi
+        combine, half = self._combine, self._split
+        negated = self._linear(lambda b: self.neg_i(combine(cols, b)))
+        groups: dict[int, list[int]] = {}
+        for i in range(half):
+            groups.setdefault(combine(cols, i), []).append(i)
+        for base in range(0, self.size, half):
+            members = groups.get(combine(negated, base))
+            if members:
+                yield base, members
 
     def _compose(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         """The columns of x -> a(b(x)), for a and b in the layout of _linear."""

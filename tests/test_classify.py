@@ -37,8 +37,8 @@ from qorder import (
     smallest_irreducible,
 )
 from qorder import classify
-from qorder.action import _action_matrix
-from qorder.characters import _trace_form_matrix
+from qorder.action import _action_matrix, _element_order
+from qorder.characters import _char_order, _trace_form_matrix
 from qorder.cli import main
 from qorder.errors import SizeExceededError
 
@@ -429,7 +429,7 @@ def test_sweeps_wrap_no_element_per_element(monkeypatch, capsys):
     assert built == Counter({"FFElement": 1})  # the primitive normal element found
 
 
-# Fields whose kernel tables split n*s evenly, unevenly, or not at all (n*s = 1),
+# Fields whose kernel walks split n*s evenly, unevenly, or not at all (n*s = 1),
 # at p = 2 and odd p, with s = 1 and s > 1.
 KERNEL_TABLE_FIELDS = [
     (2, 1, 1),
@@ -445,39 +445,43 @@ KERNEL_TABLE_FIELDS = [
 
 @pytest.mark.parametrize("p,s,n", KERNEL_TABLE_FIELDS)
 def test_kernel_tables_match_combine(p, s, n):
-    # for A_g and M_g of every divisor: x is in the kernel by the tables exactly
+    # for A_g and M_g of every divisor: x is in the kernel by the walk exactly
     # when the matrix maps it to 0, and each kernel has q^deg g elements
     t, fp = tower_and_factors(p, s, n)
     half = p ** (n * s // 2)
     for g in divisors_of_xn_minus_1(fp):
         for cols in (_action_matrix(t, g.coeffs), _trace_form_matrix(t, g.coeffs)):
-            lo, hi = t._kernel_tables(cols)
-            assert len(lo) == half and len(lo) * len(hi) == t.size
-            members = [lo[x % half] == hi[x // half] for x in range(t.size)]
+            rows = list(t._kernel_walk(cols))
+            bases = [base for base, _ in rows]
+            assert bases == sorted(set(bases)) and all(base % half == 0 for base in bases)
+            assert all(0 <= i < half for _, members in rows for i in members)
+            walked = {base + i for base, members in rows for i in members}
+            members = [x in walked for x in range(t.size)]
             assert members == [t._combine(cols, x) == 0 for x in range(t.size)]
-            assert sum(members) == t.q**g.degree, str(g)
+            assert sum(len(m) for _, m in rows) == sum(members) == t.q**g.degree, str(g)
 
 
 @pytest.mark.parametrize("corrupt", ["action", "trace form"])
 @pytest.mark.parametrize("p,s,n", [(2, 1, 4), (3, 1, 3), (2, 2, 2)])
 def test_corrupted_kernel_table_shows_in_the_sweeps(p, s, n, corrupt, monkeypatch):
     # divisor 1 has the identity as action matrix and the Gram matrix as M_1, both
-    # with kernel {0}; lo[0] = -1 in one of their tables drops 0 from that kernel
-    # alone, so the sweep that reads it disagrees with the per-element route on
-    # the element 0 only
+    # with kernel {0}; a walk of one of them that drops 0 from that kernel alone
+    # makes the sweep that reads it disagree with the per-element route on the
+    # element 0 only
     t, fp = tower_and_factors(p, s, n)
     one = FqPoly.one(t.base).coeffs
     matrix = {"action": _action_matrix, "trace form": _trace_form_matrix}[corrupt](t, one)
     assert _action_matrix(t, one) != _trace_form_matrix(t, one)
-    build = FieldTower._kernel_tables
+    walk = FieldTower._kernel_walk
 
     def corrupted(self, cols):
-        lo, hi = build(self, cols)
-        if cols == matrix:
-            lo[0] = -1
-        return lo, hi
+        for base, members in walk(self, cols):
+            if cols == matrix and base == 0:
+                members = [i for i in members if i]
+            if members:
+                yield base, members
 
-    monkeypatch.setattr(FieldTower, "_kernel_tables", corrupted)
+    monkeypatch.setattr(FieldTower, "_kernel_walk", corrupted)
     elements = [FFElement(t, v) for v in range(t.size)]
     if corrupt == "action":
         expected = {x: fq_order(x, fp) for x in elements}
@@ -497,27 +501,30 @@ def test_corrupted_kernel_table_shows_in_the_sweeps(p, s, n, corrupt, monkeypatc
 @pytest.mark.parametrize("n,codivisors", [(7, 3), (12, 8)])
 def test_element_sweep_builds_tables_for_the_codivisors_only(n, codivisors, monkeypatch):
     # x^7 - 1 has three distinct factors and x^12 - 1 = (x + 1)^4 (x^2 + x + 1)^4;
-    # element orders need only the co-divisors (x^n - 1)/P^j, one table pair each,
-    # not all 7 or 24 proper divisors
+    # element orders need only the co-divisors (x^n - 1)/P^j, one kernel walk
+    # each, not all 7 or 24 proper divisors
     t, fp = tower_and_factors(2, 1, n)
     assert sum(e for _, e in fp.factors) == codivisors
-    build, built = FieldTower._kernel_tables, []
+    walk, built = FieldTower._kernel_walk, []
 
     def counted(self, cols):
         built.append(cols)
-        return build(self, cols)
+        return walk(self, cols)
 
-    monkeypatch.setattr(FieldTower, "_kernel_tables", counted)
+    monkeypatch.setattr(FieldTower, "_kernel_walk", counted)
     partition = elements_by_order(t, fp)
     assert len(built) == codivisors
     assert built == [_action_matrix(t, g.coeffs) for row in fp.codivisors for g in row]
     assert {f: len(xs) for f, xs in partition.items()} == dict(divisor_phi_table(fp))
 
 
-@pytest.mark.parametrize("p,s,n", [*VERIFICATION_GRID, (2, 1, 11), (3, 1, 7)])
+@pytest.mark.parametrize(
+    "p,s,n", [*VERIFICATION_GRID, (2, 1, 11), (3, 1, 7), (2, 1, 12), (3, 3, 2), (2, 4, 2)]
+)
 def test_sweeps_match_per_element_routes(p, s, n):
-    # element by element, the table-backed sweeps against fq_order and
-    # char_order_bruteforce; F_{2^11} and F_{3^7} split n*s unevenly
+    # element by element, the kernel-walking sweeps against fq_order and
+    # char_order_bruteforce; F_{2^11} and F_{3^7} split n*s unevenly, and over F_2
+    # x^12 - 1 = (x + 1)^4 (x^2 + x + 1)^4 gives x + 1 the mixed-radix weight 5
     t, fp = tower_and_factors(p, s, n)
     elements = [FFElement(t, v) for v in range(t.size)]
     order = {x: fq_order(x, fp) for x in elements}
@@ -543,3 +550,21 @@ def test_sweeps_match_per_element_routes(p, s, n):
         ]
     fast = classification_report(t, fp, mode="fast")
     assert [r.element_count for r in fast.rows] == [counts[r.divisor] for r in fast.rows]
+
+
+@pytest.mark.parametrize("p,s,n", [(2, 1, 6), (3, 1, 4), (2, 2, 3)])
+def test_label_in_several_kernels_gets_the_first_divisor(p, s, n):
+    # the basis sweep writes each M_g's kernel over the labels, last divisor
+    # first: a label in several kernels, 0 in all of them, keeps the first
+    # divisor in scan order; both sweeps hold at most 2 bytes per element
+    t, fp = tower_and_factors(p, s, n)
+    divisors = divisors_of_xn_minus_1(fp)
+    matrices = [_trace_form_matrix(t, g.coeffs) for g in divisors]
+    kernels = [
+        [k for k, m in enumerate(matrices) if not t._combine(m, v)] for v in range(t.size)
+    ]
+    assert kernels[0] == list(range(len(divisors)))
+    assert any(len(ks) > 2 for ks in kernels[1:])
+    orders = _char_order(t, divisors, "basis")
+    assert list(orders) == [ks[0] for ks in kernels]
+    assert orders.itemsize <= 2 and _element_order(t, fp, divisors).itemsize <= 2
