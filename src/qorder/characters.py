@@ -13,17 +13,21 @@ the dot product of v's base-p digits with those of u = G a, for the trace Gram
 matrix G (_functional).  The scan tests g . chi = 1 for each divisor g by that
 functional vanishing on the n*s columns g . p^t of the action matrix A_g (basis
 mode), since the trace form is bilinear, or on every distinct value v = g . x,
-the image of A_g (exhaustive mode).  Neither mode uses the reciprocal relation
-that the fast path rests on.  A sweep over the whole field instead builds the
-matrix M_g of a -> (Tr(a * (g . p^t)))_t entry by entry from the functional,
-and walks each M_g's kernel once, last divisor first, so that each label keeps
-the first divisor in scan order whose kernel holds it (_char_order).
+the image of A_g (exhaustive mode), which is grown as the F_p-span of those
+columns (_annihilation_points).  Neither mode uses the reciprocal relation that
+the fast path rests on.  One loop, _first_annihilator, scans a label's
+functional over the divisors' point sets: a single query looks each set up when
+the scan reaches it, and an exhaustive sweep resolves every divisor's image once.
+A basis-mode sweep instead builds the matrix M_g of a -> (Tr(a * (g . p^t)))_t
+entry by entry from the functional, and walks each M_g's kernel once, last
+divisor first, so that each label keeps the first divisor in scan order whose
+kernel holds it (_char_order).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .action import _action_matrix, _check_coeff_field, apply_action, fq_order
 from .errors import FieldMismatchError
@@ -130,24 +134,29 @@ def _trace_form_matrix(tower: FieldTower, coeffs: tuple[int, ...]) -> tuple[int,
 def _annihilation_points(tower: FieldTower, coeffs: tuple[int, ...]) -> tuple[int, ...]:
     """The distinct values g . x over the whole field, each packed as by _linear.
 
-    They are the image of the action: q^(n - deg g) of the q^n elements when
-    g divides x^n - 1.
+    They are the image of the action, the F_p-span of A_g's n*s columns, grown
+    one column at a time: a column already in the span adds nothing, any other
+    adds its p - 1 shifted copies span + d * column.  No element is acted on,
+    and the span holds q^(n - deg g) points when g divides x^n - 1.
     """
-    cols, combine, pack = _action_matrix(tower, coeffs), tower._combine, tower._pack
-    return tuple(map(pack, dict.fromkeys(combine(cols, xv) for xv in range(tower.size))))
+    span = {0: None}
+    for col in _action_matrix(tower, coeffs):
+        if col not in span:
+            shift, layer = tower._shift_packed(col), list(span)
+            for _ in range(tower.p - 1):
+                layer = list(map(shift, layer))
+                span.update(dict.fromkeys(layer))
+    return tuple(span)
 
 
-def _annihilation_test(
-    tower: FieldTower, lab: int, check: str
-) -> Callable[[tuple[int, ...]], bool]:
-    """The test of g, by its coeffs, for annihilating the character labeled lab.
-
-    Made once per label: lab's functional must vanish on the n*s columns of A_g
-    (check="basis") or on every point of the action's image (check="exhaustive").
-    """
-    points = _action_matrix if check == "basis" else _annihilation_points
-    f = _functional(tower, lab)
-    return lambda coeffs: not any(map(f, points(tower, coeffs)))
+def _first_annihilator(
+    f: Callable[[int], int], point_sets: Iterable[tuple[int, ...]]
+) -> int:
+    """The index of the first point set on which the functional f vanishes."""
+    for k, points in enumerate(point_sets):
+        if not any(map(f, points)):
+            return k
+    raise AssertionError("x^n - 1 annihilates every character")
 
 
 def char_annihilated_by(
@@ -161,18 +170,20 @@ def char_annihilated_by(
     _check_mode(check)
     tower = chi.tower
     _check_coeff_field(g, tower)
-    return _annihilation_test(tower, chi.label.value, check)(g.coeffs)
+    points = _action_matrix if check == "basis" else _annihilation_points
+    return not any(map(_functional(tower, chi.label.value), points(tower, g.coeffs)))
 
 
 def _char_order_i(
     tower: FieldTower, divisors: tuple[FqPoly, ...], lab: int, check: str
 ) -> FqPoly:
-    """char_order_bruteforce on a label: the first of divisors that annihilates it."""
-    annihilates = _annihilation_test(tower, lab, check)
-    for g in divisors:
-        if annihilates(g.coeffs):
-            return g
-    raise AssertionError("x^n - 1 annihilates every character")
+    """char_order_bruteforce on a label: the first of divisors that annihilates it.
+
+    Each divisor's points are looked up only when the scan reaches it.
+    """
+    points = _action_matrix if check == "basis" else _annihilation_points
+    scan = (points(tower, g.coeffs) for g in divisors)
+    return divisors[_first_annihilator(_functional(tower, lab), scan)]
 
 
 def _char_order(
@@ -184,14 +195,15 @@ def _char_order(
     every label at x^n - 1, the last divisor, then writes k over ker
     M_{divisors[k]} for k from the second-to-last divisor down to 0, so the first
     divisor in scan order that annihilates a label is written last.
-    check="exhaustive" scans each label over the action's image points.
+    check="exhaustive" resolves every divisor's image once, then runs each
+    label's functional through _first_annihilator over that list.
     """
     from array import array  # on the first sweep only: runs without one never load it
 
     if check == "exhaustive":
-        index = {g: k for k, g in enumerate(divisors)}.__getitem__
-        scan = (_char_order_i(tower, divisors, v, check) for v in range(tower.size))
-        return array("H", map(index, scan))
+        images = [_annihilation_points(tower, g.coeffs) for g in divisors]
+        scan = (_first_annihilator(_functional(tower, v), images) for v in range(tower.size))
+        return array("H", scan)
     last = len(divisors) - 1
     orders = array("H", [last]) * tower.size
     for k in reversed(range(last)):

@@ -23,11 +23,12 @@ addition is F_p digit arithmetic: XOR for p = 2, one loop over base-p digits
 otherwise.
 F_p-linear maps (Frobenius, the trace, the trace form's Gram matrix, and the
 matrices of action.py and characters.py) share one column layout, fixed per
-tower: _linear builds, _combine applies, _compose derives, and _cached_map
-keeps each map in the tower's one cache.  A sweep over the whole field needs
-each divisor matrix only through its kernel: _kernel_walk yields the kernel row
-by row, from the matrix's images of about twice the square root of the field
-size many points, so a sweep touches each kernel element once.
+tower: _linear builds, _combine applies, _compose derives, _shift_packed adds a
+column to points in that layout, and _cached_map keeps each map in the tower's
+one cache.  A sweep over the whole field needs each divisor matrix only through
+its kernel: _kernel_walk yields the kernel row by row, from the matrix's images
+of about twice the square root of the field size many points, so a sweep
+touches each kernel element once.
 """
 
 from __future__ import annotations
@@ -378,6 +379,26 @@ class FieldTower:
             packed |= d << shift
             shift += w
         return packed
+
+    def _shift_packed(self, col: int) -> Callable[[int], int]:
+        """v -> v + col on points packed by _pack, each base-p digit reduced mod p.
+
+        For odd p a digit sum is below 2p - 1, and (p - 1)^2 < 2^_width makes
+        2^(_width - 1) >= p: adding 2^(_width - 1) - p to every field sets a
+        field's top bit exactly where its sum reached p, with no carry between
+        fields, and those fields lose p.
+        """
+        if self.p == 2:
+            return col.__xor__
+        p, top = self.p, self._width - 1
+        ones = sum(1 << t * self._width for t in range(self.n * self.s))
+        bias = ones * ((1 << top) - p)
+
+        def shift(v: int) -> int:
+            v += col
+            return v - ((v + bias) >> top & ones) * p
+
+        return shift
 
     def _combine(self, cols: tuple[int, ...], x: int) -> int:
         """Apply the map with columns cols (from _linear) to x."""

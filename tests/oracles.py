@@ -132,6 +132,21 @@ def oracle_apply_action(tower, coeffs, x):
     return _oracle_action_sum(tower, coeffs, conj)
 
 
+def oracle_action_images(tower, coeffs):
+    """g . x for every x in range order: oracle_apply_action at the n*s basis points
+    p^t, then each x's value as their oracle sum weighted by x's base-p digits (the
+    action is F_p-linear).  That is n*s oracle actions per g instead of q^n, whose
+    q-th powers take about 20 s over F_{2^12} on a 2-vCPU VM."""
+    p, total = tower.p, tower.n * tower.s
+    images = [0]
+    for t in range(total):
+        column, block = oracle_apply_action(tower, coeffs, p**t), images
+        for _ in range(p - 1):  # x = d * p^t + y for y < p^t: images[y] + d * column
+            block = [oracle_base_add(p, total, v, column) for v in block]
+            images = images + block
+    return images
+
+
 # -- F_2[x] on digit lists ---------------------------------------------------
 #
 # A polynomial over F_2 is a list of 0/1 digits, constant term first, with no

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,6 +34,7 @@ from qorder.characters import _CHECK_MODES, _annihilation_points, _trace_form_ma
 
 from conftest import tower_and_factors
 from oracles import (
+    oracle_action_images,
     oracle_annihilated_labels,
     oracle_apply_action,
     oracle_char_annihilated,
@@ -210,12 +212,19 @@ class TestAnnihilation:
 
     def test_exhaustive_points_are_the_distinct_image(self, small_grid):
         # q^(n - deg g) distinct values g . x, since the kernel of g has q^(deg g),
-        # each packed as the columns of _linear are
-        for t, fp in small_grid:
+        # each packed as the columns of _linear are.  Past small_grid: x^12 - 1 over
+        # F_2 is (x + 1)^4 (x^2 + x + 1)^4, then odd p with s = 2 and p = 5
+        def per_element(t, coeffs):
+            return [oracle_apply_action(t, coeffs, v) for v in range(t.size)]
+
+        past = [(2, 1, 12), (3, 2, 3), (5, 1, 3)]
+        cases = [(t, fp, per_element) for t, fp in small_grid]
+        cases += [(*tower_and_factors(*psn), oracle_action_images) for psn in past]
+        for t, fp, oracle_images in cases:
             for g in divisors_of_xn_minus_1(fp):
                 points = _annihilation_points(t, g.coeffs)
                 assert len(points) == len(set(points)) == t.q ** (t.n - g.degree)
-                image = {oracle_apply_action(t, g.coeffs, v) for v in range(t.size)}
+                image = set(oracle_images(t, g.coeffs))
                 assert set(points) == {t._pack(v) for v in image}, (t, str(g))
 
     def test_matrix_kinds_keep_apart_in_the_cache(self):
@@ -306,6 +315,23 @@ class TestCharacterOrders:
         for chi in all_chars(t):
             assert char_order_bruteforce(chi, fp, check="exhaustive") == char_order_fast(
                 chi, fp
+            )
+
+    @pytest.mark.parametrize("p,s,n", [(2, 1, 15), (2, 2, 8)])
+    def test_single_exhaustive_queries_past_2_14_elements(self, p, s, n):
+        # three random labels and two of the form g . y, which reach lower orders
+        # and so larger images at the scan's hit
+        t, fp = tower_and_factors(p, s, n)
+        rng, divisors = random.Random(p * 1000 + s * 100 + n), divisors_of_xn_minus_1(fp)
+        labels = [FFElement(t, rng.randrange(t.size)) for _ in range(3)]
+        for _ in range(2):
+            y = FFElement(t, rng.randrange(t.size))
+            labels.append(apply_action(rng.choice(divisors), y))
+        for label in labels:
+            chi = AdditiveCharacter(label)
+            exhaustive = char_order_bruteforce(chi, fp, check="exhaustive")
+            assert exhaustive == char_order_fast(chi, fp) == char_order_bruteforce(chi, fp), (
+                label.value
             )
 
     def test_non_self_reciprocal_case_q2_n7(self):
