@@ -12,10 +12,10 @@ qorder.fields multiplies with the same helpers.
 
 Beyond ring arithmetic this module provides the monic reciprocal
 f*(x) = f(0)^-1 x^deg(f) f(1/x), one distinct-degree loop that serves the
-Ben-Or irreducibility test, the complete factorization of x^n - 1 and the
-polynomial Euler totient phi_q of any nonzero polynomial, and the divisor
-lattice of a factored polynomial (multiplied out once and kept on the
-FactoredPoly itself).
+Ben-Or irreducibility test and the polynomial Euler totient phi_q of any
+nonzero polynomial, the factorization of x^n - 1 (each cyclotomic part split
+at its known degree), and the divisor lattice of a factored polynomial
+(multiplied out once and kept on the FactoredPoly itself).
 """
 
 from __future__ import annotations
@@ -253,17 +253,15 @@ class FqPoly:
         return divmod(self, other)[1]
 
     def powmod(self, exponent: int, modulus: "FqPoly") -> "FqPoly":
-        """self^exponent mod modulus, by binary exponentiation."""
+        """self^exponent mod modulus, by left-to-right square-and-multiply."""
         if exponent < 0:
             raise ValueError("negative exponent")
-        result = FqPoly.one(self.field) % modulus
         base = self % modulus
-        e = exponent
-        while e:
-            if e & 1:
+        result = base if exponent else FqPoly.one(self.field) % modulus
+        for bit in bin(exponent)[3:]:
+            result = (result * result) % modulus
+            if bit == "1":
                 result = (result * base) % modulus
-            base = (base * base) % modulus
-            e >>= 1
         return result
 
     def monic(self) -> "FqPoly":
@@ -504,35 +502,33 @@ class FactoredPoly:
         return tuple(f for f, _ in self._phi_table)
 
 
-def _random_poly(field: "BaseField", degree_bound: int, rng: random.Random) -> FqPoly:
-    """A uniformly random polynomial of degree in [1, degree_bound)."""
-    while True:
-        f = FqPoly(field, [rng.randrange(field.size) for _ in range(degree_bound)])
-        if f.degree >= 1:
-            return f
-
-
 def _equal_degree_split(f: FqPoly, d: int, rng: random.Random) -> list[FqPoly]:
-    """Split a monic squarefree product of degree-d irreducibles completely."""
+    """Split a monic squarefree product of degree-d irreducibles completely.
+
+    A d that cannot be their degree raises AssertionError instead of looping:
+    deg f is no multiple of d, or a unit r drawn mod f has r^(q^d) != r.
+    """
+    assert f.degree % d == 0, f"degree {f.degree} is no multiple of {d}"
     if f.degree == d:
         return [f]
     field = f.field
-    q = field.size
+    q, one = field.size, FqPoly.one(field)
     while True:
-        r = _random_poly(field, f.degree, rng)
+        r = FqPoly(field, [rng.randrange(q) for _ in range(f.degree)])
         g = poly_gcd(r, f)
-        if not 0 < g.degree < f.degree:
+        if g.degree == 0:  # r is a unit mod f
             if field.p == 2:
                 # F_2-trace map of r in F_{q^d}: sum of the s*d two-power conjugates
-                w = FqPoly.zero(field)
-                acc = r % f
+                w, acc = FqPoly.zero(field), r
                 for _ in range(field.s * d):
                     w = w + acc
                     acc = acc.powmod(2, f)
+                assert acc == r, f"not every factor has degree {d}"
                 g = poly_gcd(w, f)
             else:
                 w = r.powmod((q**d - 1) // 2, f)
-                g = poly_gcd(w - FqPoly.one(field), f)
+                assert (w * w) % f == one, f"not every factor has degree {d}"
+                g = poly_gcd(w - one, f)
         if 0 < g.degree < f.degree:
             return _equal_degree_split(g, d, rng) + _equal_degree_split(f // g, d, rng)
 
@@ -564,28 +560,31 @@ def _distinct_degree(f: FqPoly) -> Iterator[tuple[int, FqPoly]]:
         yield rest.degree, rest
 
 
-def _factor_squarefree(f: FqPoly, rng: random.Random) -> list[FqPoly]:
-    """Irreducible factors of a monic squarefree f: distinct-degree, then equal-degree."""
-    return [h for d, g in _distinct_degree(f) for h in _equal_degree_split(g, d, rng)]
-
-
 def factor_xn_minus_1(n: int, field: "BaseField", seed: int = 0) -> FactoredPoly:
     """Complete factorization of x^n - 1 over F_q.
 
-    With n = p^u * v and gcd(v, p) = 1, the squarefree part x^v - 1 is
-    factored by Cantor-Zassenhaus splitting and every multiplicity is p^u.
-    The seed drives the internal splitting randomness only; the canonical
-    sorting makes the result seed-independent.
+    With n = p^u * v and gcd(v, p) = 1, every multiplicity is p^u and the
+    squarefree part x^v - 1 is the product of the cyclotomic polynomials Phi_d
+    over d | v.  Each Phi_d is x^d - 1 divided exactly by the Phi_e with
+    e | d, e < d, and is a product of irreducibles of degree ord_d(q) (Lidl &
+    Niederreiter, Finite Fields, 2.47), which equal-degree splitting
+    separates.  The seed drives the internal splitting randomness only; the
+    canonical sorting makes the result seed-independent.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    p = field.p
+    p, q = field.p, field.size
     u, v = 0, n
     while v % p == 0:
         v //= p
         u += 1
-    squarefree = FqPoly.x_pow_minus_one(field, v)
-    irreducibles = _factor_squarefree(squarefree, random.Random(seed))
+    rng, one = random.Random(seed), FqPoly.one(field)
+    cyclotomic, irreducibles = {}, []
+    for d in (d for d in range(1, v + 1) if v % d == 0):
+        lower = (phi_e for e, phi_e in cyclotomic.items() if d % e == 0)
+        phi = cyclotomic[d] = FqPoly.x_pow_minus_one(field, d) // prod(lower, start=one)
+        order = next(k for k in range(1, d + 1) if pow(q, k, d) == 1 % d)
+        irreducibles += _equal_degree_split(phi, order, rng)
     irreducibles.sort(key=poly_sort_key)
     return FactoredPoly(field, tuple((g, p**u) for g in irreducibles))
 

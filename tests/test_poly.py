@@ -1,6 +1,7 @@
+import random
 from collections import Counter
 from functools import cache
-from math import prod
+from math import gcd, prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -25,8 +26,10 @@ from qorder import (
     poly_tokens,
     smallest_irreducible,
 )
+from qorder.classify import MEYN_SWEEP_PRIME_POWERS
 from qorder.errors import ParseError
-from qorder.poly import _distinct_degree
+from qorder.integers import prime_power_decomposition
+from qorder.poly import _distinct_degree, _equal_degree_split
 
 from oracles import (
     monic_polys,
@@ -47,6 +50,9 @@ F2 = base_field(2)
 F3 = base_field(3)
 F4 = base_field(2, 2)
 F5 = base_field(5)
+F7 = base_field(7)
+F8 = base_field(2, 3)
+F9 = base_field(3, 2)
 
 
 def P(field, *coeffs):
@@ -156,6 +162,25 @@ class TestArithmetic:
         f = P(F3, 2, 1, 1)  # x^2 + x + 2
         assert f.evaluate(0) == 2
         assert f.evaluate(1) == 1  # 1 + 1 + 2 = 4 = 1 mod 3
+
+    @pytest.mark.parametrize("field", [F3, F4, F9], ids=["F3", "F4", "F9"])
+    def test_powmod_matches_repeated_multiplication(self, field):
+        rng = random.Random(field.size)
+        q, large = field.size, 1000
+
+        def draw(degree):
+            return FqPoly(field, [rng.randrange(q) for _ in range(degree + 1)])
+
+        moduli = [FqPoly.one(field), P(field, 2), P(field, 1, 1), draw(3), draw(4) * draw(2)]
+        for m in (m for m in moduli if not m.is_zero):
+            for a in (FqPoly.zero(field), FqPoly.one(field), draw(1), draw(3), draw(8)):
+                expected = FqPoly.one(field) % m  # a^0, then one reduced product per step
+                for e in range(large + 1):
+                    if e in (0, 1, 2, q, large):
+                        assert a.powmod(e, m) == expected, (a, e, m)
+                    expected = (expected * a) % m
+                if m.degree == 0:
+                    assert expected.is_zero
 
 
 # -- F_2[x] on bit masks ---------------------------------------------------------
@@ -328,7 +353,7 @@ class TestFactorXnMinus1:
         ]
 
     @pytest.mark.parametrize(
-        "field,n_max", [(F2, 8), (F3, 6), (F4, 5), (F5, 4)]
+        "field,n_max", [(F2, 8), (F3, 6), (F4, 5), (F5, 4), (F7, 5), (F8, 4), (F9, 4)]
     )
     def test_against_trial_division_oracle(self, field, n_max):
         for n in range(1, n_max + 1):
@@ -361,6 +386,60 @@ class TestFactorXnMinus1:
                 (1, 0, 1, 1),
                 (1, 1, 0, 1),
             ]
+        # several factors of one degree per cyclotomic part, so the splits vary
+        for field, n in [(F3, 26), (F4, 45), (F9, 40)]:
+            first = factor_xn_minus_1(n, field, 0)
+            assert [g for g, _ in first.factors] == sorted(
+                (g for g, _ in first.factors), key=poly_sort_key
+            )
+            for seed in (1, 99, 123456):
+                assert factor_xn_minus_1(n, field, seed) == first
+
+    @pytest.mark.parametrize("q", MEYN_SWEEP_PRIME_POWERS)
+    def test_cyclotomic_degrees(self, q):
+        # x^n - 1 = (x^v - 1)^(p^u), and the cyclotomic part Phi_d (d | v) is a
+        # product of phi(d)/ord_d(q) irreducibles of degree ord_d(q)
+        p, s = prime_power_decomposition(q)
+        field = base_field(p, s)
+        for n in range(1, 41):
+            u, v = 0, n
+            while v % p == 0:
+                v //= p
+                u += 1
+            expected = Counter()
+            for d in range(1, v + 1):
+                if v % d == 0:
+                    order = next(k for k in range(1, d + 1) if (q**k - 1) % d == 0)
+                    totient = sum(1 for a in range(1, d + 1) if gcd(a, d) == 1)
+                    expected[order] += totient // order
+            fp = factor_xn_minus_1(n, field)
+            assert Counter(g.degree for g, _ in fp.factors) == expected, n
+            assert all(e == p**u for _, e in fp.factors)
+            assert all(is_irreducible(g) for g, _ in fp.factors)
+            assert fp.expand() == FqPoly.x_pow_minus_one(field, n)
+
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_equal_degree_split_rejects_a_wrong_degree(self, d):
+        # Phi_7 over F_2 is two irreducible cubics: 4 does not divide its degree,
+        # and at degree 2 a split leaves a cubic or a draw r has r^(2^2) != r
+        phi7 = P(F2, 1, 1, 1, 1, 1, 1, 1)
+        assert sorted(_equal_degree_split(phi7, 3, random.Random(0)), key=poly_sort_key) == [
+            P(F2, 1, 0, 1, 1),
+            P(F2, 1, 1, 0, 1),
+        ]
+        for seed in range(5):
+            with pytest.raises(AssertionError):
+                _equal_degree_split(phi7, d, random.Random(seed))
+
+    @pytest.mark.parametrize("field", [F2, F3], ids=["F2", "F3"])
+    def test_equal_degree_split_rejects_a_wrong_degree_that_divides(self, field):
+        # Phi_5 is irreducible of degree 4 over F_2 and F_3: at degree 2 no draw
+        # ever splits it, so only the r^(q^2) = r check stops the loop
+        phi5 = FqPoly(field, [1] * 5)
+        assert _equal_degree_split(phi5, 4, random.Random(0)) == [phi5]
+        for seed in range(5):
+            with pytest.raises(AssertionError):
+                _equal_degree_split(phi5, 2, random.Random(seed))
 
 
 class TestDivisors:
