@@ -39,8 +39,6 @@ from .poly import (
     monic_reciprocal,
 )
 
-_CHECK_MODES = ("basis", "exhaustive")
-
 
 @dataclass(frozen=True)
 class AdditiveCharacter:
@@ -93,7 +91,7 @@ def char_action_exponent(g: FqPoly, chi: AdditiveCharacter, x: FFElement) -> int
 
 
 def _check_mode(check: str) -> None:
-    if check not in _CHECK_MODES:
+    if check not in _POINT_SETS:
         raise ValueError(f"check must be one of {_CHECK_MODES}")
 
 
@@ -149,6 +147,11 @@ def _annihilation_points(tower: FieldTower, coeffs: tuple[int, ...]) -> tuple[in
     return tuple(span)
 
 
+#: Each check mode's points for a divisor g: the columns of A_g, or its whole image.
+_POINT_SETS = {"basis": _action_matrix, "exhaustive": _annihilation_points}
+_CHECK_MODES = tuple(_POINT_SETS)
+
+
 def _first_annihilator(
     f: Callable[[int], int], point_sets: Iterable[tuple[int, ...]]
 ) -> int:
@@ -170,8 +173,8 @@ def char_annihilated_by(
     _check_mode(check)
     tower = chi.tower
     _check_coeff_field(g, tower)
-    points = _action_matrix if check == "basis" else _annihilation_points
-    return not any(map(_functional(tower, chi.label.value), points(tower, g.coeffs)))
+    points = _POINT_SETS[check](tower, g.coeffs)
+    return not any(map(_functional(tower, chi.label.value), points))
 
 
 def _char_order_i(
@@ -181,8 +184,7 @@ def _char_order_i(
 
     Each divisor's points are looked up only when the scan reaches it.
     """
-    points = _action_matrix if check == "basis" else _annihilation_points
-    scan = (points(tower, g.coeffs) for g in divisors)
+    scan = (_POINT_SETS[check](tower, g.coeffs) for g in divisors)
     return divisors[_first_annihilator(_functional(tower, lab), scan)]
 
 

@@ -57,6 +57,11 @@ MEYN_SWEEP_PRIME_POWERS: tuple[int, ...] = (2, 3, 4, 5, 7, 8, 9)
 MEYN_SWEEP_MAX_N: int = 20
 
 
+def _check_route(mode: str) -> None:
+    if mode not in ("oracle", "fast"):
+        raise ValueError("mode must be 'oracle' or 'fast'")
+
+
 def _check_sweep(tower: FieldTower, fp: FactoredPoly, size_bound: int) -> None:
     """The size bound, then the check fq_order makes on every element, once."""
     if tower.size > size_bound:
@@ -124,8 +129,7 @@ def characters_by_order(
     mode="fast" uses the reciprocal relation and groups the labels whose
     element order is the reciprocal of the requested divisor.
     """
-    if mode not in ("oracle", "fast"):
-        raise ValueError("mode must be 'oracle' or 'fast'")
+    _check_route(mode)
     if mode == "fast":
         by_element = elements_by_order(tower, fp, size_bound=size_bound)
         return {
@@ -355,8 +359,7 @@ def classification_report(
     scan so the report stays independent of the reciprocal fast path;
     mode="fast" trades that independence for speed on large fields.
     """
-    if mode not in ("oracle", "fast"):
-        raise ValueError("mode must be 'oracle' or 'fast'")
+    _check_route(mode)
     if mode == "oracle":
         divisors = _scan_divisors(tower, fp, check, size_bound)
         chars = Counter(_char_order(tower, divisors, check))

@@ -17,7 +17,12 @@ import sys
 from dataclasses import dataclass, field
 
 from . import __version__
-from .characters import AdditiveCharacter, char_order_bruteforce, char_order_fast
+from .characters import (
+    _CHECK_MODES,
+    AdditiveCharacter,
+    char_order_bruteforce,
+    char_order_fast,
+)
 from .classify import (
     MEYN_SWEEP_MAX_N,
     MEYN_SWEEP_PRIME_POWERS,
@@ -48,13 +53,7 @@ from .poly import (
     poly_tokens,
 )
 
-_FORMATS = ("text", "json", "csv")
 _MODES = ("oracle", "fast", "both")
-_CHECKS = ("basis", "exhaustive")
-#: Commands with a single way to compute their report: --mode means nothing to them.
-_MODELESS_COMMANDS = ("factor", "verify-theorem", "corollary1", "corollary2", "pnbt")
-#: Commands that never scan character orders: --check means nothing to them.
-_CHECKLESS_COMMANDS = ("factor", "corollary2", "pnbt")
 
 
 @dataclass
@@ -171,26 +170,19 @@ _RENDERERS = {"text": render_text, "json": render_json, "csv": render_csv}
 # -- commands -------------------------------------------------------------------
 
 
-def _require_n(config: CommandConfig) -> int:
-    if config.n is None:
-        raise ParseError("--n is required for this command")
-    return config.n
-
-
 def _field_entries(config: CommandConfig):
     """Yield (p, s, n, tower, factorization of x^n - 1) for each field to cover."""
-    grid = VERIFICATION_GRID if config.grid else [(config.p, config.s, _require_n(config))]
+    grid = VERIFICATION_GRID if config.grid else [(config.p, config.s, config.n)]
     for p, s, n in grid:
         tower = build_tower(p, s, n, size_bound=config.size_bound)
         yield p, s, n, tower, factor_xn_minus_1(n, tower.base, config.seed)
 
 
 def cmd_factor(config: CommandConfig) -> ReportDocument:
-    n = _require_n(config)
     fq = base_field(config.p, config.s)
     if fq.size > config.size_bound:
         raise QOrderError(f"base field size {fq.size} exceeds bound")
-    fp = factor_xn_minus_1(n, fq, config.seed)
+    fp = factor_xn_minus_1(config.n, fq, config.seed)
     rows = [
         {
             "factor": poly_tokens(g),
@@ -202,7 +194,7 @@ def cmd_factor(config: CommandConfig) -> ReportDocument:
         for g, e in fp.factors
     ]
     counterexamples = []
-    expected = FqPoly.x_pow_minus_one(fq, n)
+    expected = FqPoly.x_pow_minus_one(fq, config.n)
     if fp.expand() != expected:
         counterexamples.append(
             {"product": poly_tokens(fp.expand()), "expected": poly_tokens(expected)}
@@ -397,61 +389,67 @@ def cmd_pnbt(config: CommandConfig) -> ReportDocument:
 
 # -- argument parsing -------------------------------------------------------------
 
-
-def _add_common(parser: argparse.ArgumentParser, *, suppress: bool) -> None:
-    def default(value):
-        return argparse.SUPPRESS if suppress else value
-
-    parser.add_argument("--p", type=int, default=default(2), help="characteristic (prime)")
-    parser.add_argument("--s", type=int, default=default(1), help="base degree: q = p^s")
-    parser.add_argument("--n", type=int, default=default(None), help="extension degree")
-    parser.add_argument("--seed", type=int, default=default(0), help="factorization seed")
-    parser.add_argument(
-        "--size-bound",
-        type=int,
-        default=default(DEFAULT_SIZE_BOUND),
-        help="largest allowed field cardinality",
-    )
-    parser.add_argument("--format", choices=_FORMATS, default=default("text"))
-    parser.add_argument("--mode", choices=_MODES, default=default("both"))
-    parser.add_argument("--check", choices=_CHECKS, default=default("basis"))
-    parser.add_argument(
-        "--grid",
-        action="store_true",
-        default=default(False),
-        help="sweep the standard verification grid instead of one field",
-    )
+#: The options each command reads besides --seed and --format, which all read.  With
+#: --grid the fields are fixed, so none reads --p, --s or --n; --mode fast runs no
+#: character scan, so reads no --check.
+_READS = {
+    "factor": ("p", "s", "n", "size_bound"),
+    "orders": ("p", "s", "n", "size_bound", "mode", "check"),
+    "verify-theorem": ("p", "s", "n", "size_bound", "check", "grid"),
+    "corollary1": ("p", "s", "n", "size_bound", "check", "grid"),
+    "corollary2": ("p", "s", "grid", "n_max"),
+    "char-order": ("p", "s", "n", "size_bound", "mode", "check", "label"),
+    "pnbt": ("p", "s", "n", "size_bound", "grid"),
+}
+#: Every option some command does not read, in the order their usage errors take.
+_CHECKED = ("grid", "mode", "check", "n", "p", "s", "size_bound", "n_max", "label")
+#: Each command's one-line help in `qorder --help`.
+_HELP = {
+    "factor": "factor x^n - 1 over F_q",
+    "orders": "partition F_{q^n} by element order and cross-check phi_q",
+    "verify-theorem": "compare character orders against reciprocal element orders",
+    "corollary1": "check order coincidence happens exactly on self-reciprocal orders",
+    "corollary2": "tabulate the Meyn criterion against the factorization scan",
+    "char-order": "orders of one character chi_a",
+    "pnbt": "find a primitive normal element and count normal elements",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    commands = "".join(f"\n  {name:14}  {text}" for name, text in _HELP.items())
     parser = argparse.ArgumentParser(
         prog="qorder",
         description="Exact F_q-orders of finite-field elements and additive characters.",
+        epilog=f"commands:{commands}",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    _add_common(parser, suppress=False)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    for name, help_text in (
-        ("factor", "factor x^n - 1 over F_q"),
-        ("orders", "partition F_{q^n} by element order and cross-check phi_q"),
-        ("verify-theorem", "compare character orders against reciprocal element orders"),
-        ("corollary1", "check order coincidence happens exactly on self-reciprocal orders"),
-        ("corollary2", "tabulate the Meyn criterion against the factorization scan"),
-        ("char-order", "orders of one character chi_a"),
-        ("pnbt", "find a primitive normal element and count normal elements"),
-    ):
-        sp = sub.add_parser(name, help=help_text)
-        _add_common(sp, suppress=True)
-        if name == "corollary2":
-            sp.add_argument(
-                "--n-max", type=int, default=MEYN_SWEEP_MAX_N, help="check n = 1..n_max"
-            )
-        if name == "char-order":
-            sp.add_argument("label", help="element tokens, e.g. '0,1'")
+    parser.add_argument("command", choices=_READS, metavar="command", help="see commands below")
+    parser.add_argument("label", nargs="?", help="char-order's element tokens, e.g. '0,1'")
+    parser.add_argument("--p", type=int, default=2, help="characteristic (prime)")
+    parser.add_argument("--s", type=int, default=1, help="base degree: q = p^s")
+    parser.add_argument("--n", type=int, help="extension degree")
+    parser.add_argument("--seed", type=int, default=0, help="factorization seed")
+    parser.add_argument(
+        "--size-bound",
+        type=int,
+        default=DEFAULT_SIZE_BOUND,
+        help="largest allowed field cardinality",
+    )
+    parser.add_argument("--format", choices=_RENDERERS, default="text")
+    parser.add_argument("--mode", choices=_MODES, default="both")
+    parser.add_argument("--check", choices=_CHECK_MODES, default="basis")
+    parser.add_argument(
+        "--grid",
+        action="store_true",
+        help="sweep the standard verification grid instead of one field",
+    )
+    parser.add_argument(
+        "--n-max", type=int, help=f"corollary2: check n = 1..n_max (default {MEYN_SWEEP_MAX_N})"
+    )
     return parser
 
 
-def _resolve_config(args: argparse.Namespace) -> CommandConfig:
+def _resolve_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> CommandConfig:
     seed = args.seed
     env_seed = os.environ.get("QORDER_SEED")
     if env_seed is not None:
@@ -459,8 +457,30 @@ def _resolve_config(args: argparse.Namespace) -> CommandConfig:
             seed = int(env_seed)
         except ValueError as exc:
             raise ParseError(f"QORDER_SEED={env_seed!r} is not an integer") from exc
+    command, reads = args.command, set(_READS[args.command])
+    if args.grid:
+        reads -= {"p", "s", "n"}
+    if args.mode == "fast":
+        reads.discard("check")
+    # No option is silently ignored: one the command does not read keeps its default.
+    for dest in _CHECKED:
+        if dest not in reads and getattr(args, dest) != parser.get_default(dest):
+            flag = "a label" if dest == "label" else "--" + dest.replace("_", "-")
+            if (command, dest) == ("corollary2", "n"):
+                flag += "; use --n-max"
+            elif args.grid and dest in ("p", "s", "n"):
+                flag += " with --grid"
+            raise ParseError(f"{command} does not accept {flag}")
+    if args.n_max is not None and args.n_max < 1:
+        raise ParseError(f"--n-max must be at least 1, got {args.n_max}")
+    if not is_prime(args.p):  # corollary2 builds no tower that would check it
+        raise NonPrimeError(f"{args.p} is not prime")
+    if args.s < 1:
+        raise ParseError(f"--s must be at least 1, got {args.s}")
+    if args.n is None and "n" in reads:
+        raise ParseError("--n is required for this command")
     config = CommandConfig(
-        command=args.command,
+        command=command,
         p=args.p,
         s=args.s,
         n=args.n,
@@ -471,53 +491,31 @@ def _resolve_config(args: argparse.Namespace) -> CommandConfig:
         check=args.check,
         grid=args.grid,
     )
-    if config.grid and config.command in ("factor", "orders", "char-order"):
-        raise ParseError(f"{config.command} does not accept --grid")
-    if config.mode != "both" and config.command in _MODELESS_COMMANDS:
-        raise ParseError(f"{config.command} does not accept --mode")
-    fast = config.mode == "fast" and config.command in ("orders", "char-order")
-    if config.check != "basis" and (config.command in _CHECKLESS_COMMANDS or fast):
-        raise ParseError(f"{config.command} does not accept --check")
-    if config.n is not None and (config.grid or config.command == "corollary2"):
-        hint = "; use --n-max" if config.command == "corollary2" else " with --grid"
-        raise ParseError(f"{config.command} does not accept --n{hint}")
-    if config.command == "corollary2":
-        if args.n_max < 1:
-            raise ParseError(f"--n-max must be at least 1, got {args.n_max}")
-        config.extra["n_max"] = args.n_max
-    default = CommandConfig(config.command)
-    for flag, value, unset in (("--p", config.p, default.p), ("--s", config.s, default.s)):
-        if config.grid and value != unset:
-            raise ParseError(f"{config.command} does not accept {flag} with --grid")
-    if config.command == "corollary2" and config.size_bound != default.size_bound:
-        raise ParseError("corollary2 does not accept --size-bound")
-    if not is_prime(config.p):  # corollary2 builds no tower that would check it
-        raise NonPrimeError(f"{config.p} is not prime")
-    if config.s < 1:
-        raise ParseError(f"--s must be at least 1, got {config.s}")
+    if command == "corollary2":
+        config.extra["n_max"] = MEYN_SWEEP_MAX_N if args.n_max is None else args.n_max
     return config
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_intermixed_args(argv)
+        if args.command == "char-order" and args.label is None:
+            parser.error("the following arguments are required: label")
     except SystemExit as exc:  # argparse has already printed its message
         return int(exc.code or 0)
     try:
-        config = _resolve_config(args)
-        if config.command == "char-order":
-            doc = cmd_char_order(config, args.label)
-        else:
-            handler = {
-                "factor": cmd_factor,
-                "orders": cmd_orders,
-                "verify-theorem": cmd_verify_theorem,
-                "corollary1": cmd_corollary1,
-                "corollary2": cmd_corollary2,
-                "pnbt": cmd_pnbt,
-            }[config.command]
-            doc = handler(config)
+        config = _resolve_config(args, parser)
+        handler = {
+            "factor": cmd_factor,
+            "orders": cmd_orders,
+            "verify-theorem": cmd_verify_theorem,
+            "corollary1": cmd_corollary1,
+            "corollary2": cmd_corollary2,
+            "char-order": lambda config: cmd_char_order(config, args.label),
+            "pnbt": cmd_pnbt,
+        }[config.command]
+        doc = handler(config)
     except (PrimitiveNormalNotFoundError, AssertionError) as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

@@ -592,27 +592,23 @@ def factor_xn_minus_1(n: int, field: "BaseField", seed: int = 0) -> FactoredPoly
 # -- divisor lattice ----------------------------------------------------------
 
 
-def _check_divisor_count(fp: FactoredPoly, max_divisors: int) -> None:
+def _check_divisor_count(fp: FactoredPoly) -> None:
     count = fp.divisor_count()
-    if count > max_divisors:
+    if count > DEFAULT_DIVISOR_BOUND:
         raise SizeExceededError(
-            f"{count} divisors exceed the configured bound {max_divisors}"
+            f"{count} divisors exceed the configured bound {DEFAULT_DIVISOR_BOUND}"
         )
 
 
-def divisors_of_xn_minus_1(
-    fp: FactoredPoly, max_divisors: int = DEFAULT_DIVISOR_BOUND
-) -> tuple[FqPoly, ...]:
+def divisors_of_xn_minus_1(fp: FactoredPoly) -> tuple[FqPoly, ...]:
     """All monic divisors, ordered by (degree, lex); count is prod(e_i + 1)."""
-    _check_divisor_count(fp, max_divisors)
+    _check_divisor_count(fp)
     return fp._divisor_tuple
 
 
-def divisor_phi_table(
-    fp: FactoredPoly, max_divisors: int = DEFAULT_DIVISOR_BOUND
-) -> tuple[tuple[FqPoly, int], ...]:
+def divisor_phi_table(fp: FactoredPoly) -> tuple[tuple[FqPoly, int], ...]:
     """(divisor, phi_q(divisor)) pairs in (degree, lex) order."""
-    _check_divisor_count(fp, max_divisors)
+    _check_divisor_count(fp)
     return fp._phi_table
 
 

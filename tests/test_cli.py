@@ -170,6 +170,17 @@ class TestCharOrder:
         row = json.loads(out)["rows"][0]
         assert "order_bruteforce" in row and "order_fast" not in row
 
+    def test_options_between_command_and_label(self, capsys):
+        code, out, _ = run_cli(capsys, "char-order", "--n", "2", "0,1", "--format", "json")
+        assert code == 0
+        assert out == run_cli(capsys, "--n", "2", "--format", "json", "char-order", "0,1")[1]
+        assert json.loads(out)["meta"]["label"] == "0,1"
+
+    def test_missing_label_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "--n", "2", "char-order")
+        assert code == 2 and out == ""
+        assert "required: label" in err
+
     def test_parse_error(self, capsys):
         code, _, err = run_cli(capsys, "--p", "2", "--n", "2", "char-order", "junk")
         assert code == 2
@@ -288,6 +299,21 @@ class TestConfigPlumbing:
         assert ("--n-max" in err) == (argv[0] == "corollary2")
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("--n-max", "3", "factor"), "factor does not accept --n-max"),
+            (("verify-theorem", "--n", "2", "--n-max", "3"), "verify-theorem does not accept --n-max"),
+            (("factor", "--n", "3", "0,1"), "factor does not accept a label"),
+            (("corollary2", "--grid", "1"), "corollary2 does not accept a label"),
+        ],
+    )
+    def test_n_max_and_label_rejected_where_unread(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err == f"error: {message}\n"
+        assert out == ""
+
     @pytest.mark.parametrize("n_max", ["0", "-3"])
     def test_n_max_below_one_rejected(self, capsys, n_max):
         code, out, err = run_cli(capsys, "corollary2", "--n-max", n_max)
@@ -373,6 +399,13 @@ class TestConfigPlumbing:
             assert code == 0
             assert json.loads(out)["meta"]["check"] == argv[argv.index("--check") + 1]
 
+    def test_n_max_accepted_before_command(self, capsys):
+        code, out, _ = run_cli(capsys, "--n-max", "3", "corollary2", "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["meta"]["n_max"] == 3
+        assert [r["n"] for r in doc["rows"]] == [1, 2, 3]
+
     def test_default_mode_accepted_where_ignored(self, capsys):
         code, out, _ = run_cli(capsys, "--n", "2", "pnbt", "--mode", "both", "--format", "json")
         assert code == 0
@@ -385,7 +418,11 @@ class TestConfigPlumbing:
     def test_help_exits_0(self, capsys):
         code, out, _ = run_cli(capsys, "--help")
         assert code == 0
-        assert "verify-theorem" in capsys.readouterr().out or "usage" in out
+        assert out.startswith("usage: qorder")
+        for command in (
+            "factor", "orders", "verify-theorem", "corollary1", "corollary2", "char-order", "pnbt"
+        ):
+            assert f"\n  {command} " in out
 
 
 class TestReportPlumbing:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qorder import (
+    DEFAULT_DIVISOR_BOUND,
     FqPoly,
     SizeExceededError,
     ZeroConstantTermError,
@@ -463,9 +464,13 @@ class TestDivisors:
             assert list(divs) == sorted(divs, key=poly_sort_key)
 
     def test_size_bound(self):
-        fp = factor_xn_minus_1(6, F2)  # (x+1)^2 (x^2+x+1)^2: 9 divisors
-        with pytest.raises(SizeExceededError):
-            divisors_of_xn_minus_1(fp, 8)
+        assert len(divisors_of_xn_minus_1(factor_xn_minus_1(2048, F2))) == 2049
+        fp = factor_xn_minus_1(4096, F2)  # (x+1)^4096: one divisor past the bound
+        assert fp.divisor_count() == DEFAULT_DIVISOR_BOUND + 1
+        with pytest.raises(SizeExceededError, match="4097 divisors exceed"):
+            divisors_of_xn_minus_1(fp)
+        with pytest.raises(SizeExceededError, match="4097 divisors exceed"):
+            divisor_phi_table(fp)
 
     def test_divisor_products_leave_equality_and_hash_alone(self):
         fp = factor_xn_minus_1(12, F3)
