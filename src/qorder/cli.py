@@ -522,6 +522,9 @@ def main(argv=None) -> int:
     except (QOrderError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:  # a request too large for this machine, not a failed check
+        print("error: out of memory", file=sys.stderr)
+        return 2
     try:
         print(_RENDERERS[config.output_format](doc))
         sys.stdout.flush()

@@ -16,11 +16,13 @@ over F_q, and F_q itself (for s > 1) is computed as the tower F_p[t]/(g0)
 over F_p.  A tower product is the multiply and reduction FqPoly uses
 (qorder.poly), on bit masks in F_2[u] when q = 2 and on F_q coefficient lists
 otherwise; powers square and multiply, and the inverse is the power -1.  Only
-F_q for s > 1, up to 2^14 elements, multiplies and inverts through
-discrete-log tables, since the coefficient products of F_q[x] and of every
-tower product over it go through them.  Under + F_{q^n} is F_p^(n*s), so
-addition is F_p digit arithmetic: XOR for p = 2, one loop over base-p digits
-otherwise.
+F_q for s > 1, up to 2^14 elements, keeps tables: it multiplies and inverts
+through discrete logarithms and, for odd p, adds, subtracts and negates through
+Zech logarithms, since every coefficient operation of F_q[x] and of every tower
+over it goes through them.  Under + F_{q^n} is F_p^(n*s), so addition is F_p
+digit arithmetic: XOR for p = 2, since an element's bits are its F_2 digits,
+and residues mod p in F_p itself; odd-p towers, and F_q past the tables, add
+with one loop over base-p digits.
 F_p-linear maps (Frobenius, the trace, the trace form's Gram matrix, and the
 matrices of action.py and characters.py) share one column layout, fixed per
 tower: _linear builds, _combine applies, _compose derives, _shift_packed adds a
@@ -55,8 +57,9 @@ from .poly import (
 DEFAULT_SIZE_BOUND = 1 << 24
 
 # Internal speed knob; it never affects results, only how they are computed.
-# F_q with s > 1 up to this size multiplies and inverts through log tables;
-# larger ones use the tower's coefficient-vector arithmetic.  frob_table also
+# F_q with s > 1 up to this size multiplies and inverts through log tables, and
+# for odd p adds through Zech logarithms; larger ones use the tower's
+# coefficient-vector and digit arithmetic.  frob_table also
 # reads it.  No F_{q^n} keeps tables: every tower computes the same way.
 _EXP_LOG_BOUND = 1 << 14
 
@@ -64,10 +67,12 @@ _EXP_LOG_BOUND = 1 << 14
 class BaseField:
     """F_q = F_p[t]/(g0) with elements encoded as integers in [0, q).
 
-    For s > 1 the arithmetic is that of the tower F_p < F_p[t]/(g0): add,
-    neg and sub are its add_i, neg_i and sub_i, and mul and inv read log
-    tables stepped by a generator, or past _EXP_LOG_BOUND are its mul_i and
-    inv_i.  For s = 1 they are plain residue operations mod p.
+    For p = 2, add and sub are XOR and neg is the identity at every s.  For
+    s > 1 the rest is the arithmetic of the tower F_p < F_p[t]/(g0): up to
+    _EXP_LOG_BOUND, mul and inv read log tables stepped by a generator, and for
+    odd p add, sub and neg read Zech logarithms beside them; past the bound
+    they are the tower's mul_i, inv_i, add_i, sub_i and neg_i.  For s = 1 they
+    are plain residue operations mod p.
 
     Instances are immutable after construction; use base_field() to get the
     canonical instance for given (p, s).
@@ -83,20 +88,23 @@ class BaseField:
         if len(self.modulus) != s + 1 or self.modulus[-1] != 1:
             raise ValueError("modulus must be monic of degree s")
         self._lex = None
+        if p == 2:  # an element's bits are its F_2 digits
+            self.add = self.sub = operator.xor
+            self.neg = operator.pos
         if s > 1:
             prime = base_field(p, 1)
             g0 = FqPoly(prime, self.modulus)
             if not is_irreducible(g0):
                 raise ValueError("modulus must be irreducible over F_p")
             tower = FieldTower(prime, g0)
-            self.add, self.neg, self.sub = tower.add_i, tower.neg_i, tower.sub_i
+            if p != 2:
+                self.add, self.neg, self.sub = tower.add_i, tower.neg_i, tower.sub_i
             self.mul, self.inv = tower.mul_i, tower.inv_i
             if self.size <= _EXP_LOG_BOUND:
-                self.mul, self.inv = _log_table_arithmetic(tower)
+                for name, op in _log_table_arithmetic(tower).items():
+                    setattr(self, name, op)
             return
         if p == 2:
-            self.add = self.sub = operator.xor
-            self.neg = operator.pos
             self.mul = operator.and_
         else:
             self.add = lambda a, b: (a + b) % p
@@ -149,11 +157,18 @@ class BaseField:
         return f"BaseField(p={self.p}, s={self.s})"
 
 
-def _log_table_arithmetic(tower: FieldTower) -> tuple[Callable, Callable]:
-    """mul and inv of a small field through exp[i] = gen^i and log = exp^-1.
+def _log_table_arithmetic(tower: FieldTower) -> dict[str, Callable]:
+    """mul and inv of a small field through exp[i] = gen^i and log = exp^-1, and
+    for odd p also add, sub and neg through the Zech logarithms of gen.
 
     exp runs over two periods, so a product reads exp[log a + log b] with no
-    reduction; the tables step by the matrix of multiplication by gen.
+    reduction; the tables step by the matrix of multiplication by gen.  With
+    h = (q - 1)/2, gen^h = -1, so -a = exp[log a + h].  The Zech logarithm
+    zech[k] = log(1 + gen^k) makes a sum a product: for a, b != 0,
+    a + b = a (1 + b/a) = exp[log a + zech[log b - log a]], and a - b the same
+    with log b + h.  zech is None at k = h, where 1 + gen^k = 0, and is kept
+    over two periods, so each index these read, in (1 - q, q - 1 + h), is used
+    as it is, negative ones counting from the end.
     """
     m = tower.size - 1
     gen = next(g for g in range(2, tower.size) if tower.is_primitive_i(g))
@@ -173,7 +188,32 @@ def _log_table_arithmetic(tower: FieldTower) -> tuple[Callable, Callable]:
             raise ZeroDivisionError("inverse of zero")
         return exp[m - log[a]]
 
-    return mul, inv
+    if tower.p == 2:
+        return {"mul": mul, "inv": inv}
+    h = m // 2
+    zech = [None if k == h else log[tower.add_i(1, exp[k])] for k in range(m)] * 2
+
+    def add(a: int, b: int) -> int:
+        if not (a and b):
+            return a or b
+        la = log[a]
+        z = zech[log[b] - la]
+        return 0 if z is None else exp[la + z]
+
+    def sub(a: int, b: int) -> int:
+        if not b:
+            return a
+        lb = log[b] + h
+        if not a:
+            return exp[lb]
+        la = log[a]
+        z = zech[lb - la]
+        return 0 if z is None else exp[la + z]
+
+    def neg(a: int) -> int:
+        return exp[log[a] + h] if a else 0
+
+    return {"mul": mul, "inv": inv, "add": add, "sub": sub, "neg": neg}
 
 
 def smallest_irreducible(field: BaseField, degree: int) -> FqPoly:

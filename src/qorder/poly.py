@@ -8,7 +8,10 @@ Over F_2 the polynomial is kept as one int bit mask instead, and the tuple
 is built only when asked for.  Products and remainders are _clmul and _clmod
 on bit masks over F_2, _coeff_mul (schoolbook) and _coeff_divmod (long
 division) on coefficient lists otherwise; the tower F_{q^n} = F_q[u]/(h0) in
-qorder.fields multiplies with the same helpers.
+qorder.fields multiplies with the same helpers.  Over a prime field those two
+work on plain int residues, reduced mod p once per coefficient, with no call
+per term; over F_q with s > 1 each term is a call to the field's mul and add,
+which are log and Zech tables (XOR for the add when p = 2) up to 2^14 elements.
 
 Beyond ring arithmetic this module provides the monic reciprocal
 f*(x) = f(0)^-1 x^deg(f) f(1/x), one distinct-degree loop that serves the
@@ -67,10 +70,22 @@ def _clmod(a: int, m: int) -> int:
 
 
 def _coeff_mul(field: "BaseField", a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Schoolbook product of F_q coefficient lists (constant first); [] is zero."""
-    add, mul = field.add, field.mul
+    """Schoolbook product of F_q coefficient lists (constant first); [] is zero.
+
+    Over F_p (s = 1) the products accumulate as plain ints, reduced mod p once
+    per output coefficient; otherwise each term is one field.mul and one
+    field.add.
+    """
     out = [0] * (len(a) + len(b) - 1)
     terms = [(j, bj) for j, bj in enumerate(b) if bj]
+    if field.s == 1:
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in terms:
+                    out[i + j] += ai * bj
+        p = field.p
+        return [c % p for c in out]
+    add, mul = field.add, field.mul
     for i, ai in enumerate(a):
         if ai:
             for j, bj in terms:
@@ -84,13 +99,28 @@ def _coeff_divmod(
     """Quotient and remainder of F_q coefficient lists by long division, m[-1] != 0.
 
     The remainder has min(len(a), deg m) entries, trailing zeros included.
+    Over F_p (s = 1) the remainder holds plain ints: each top coefficient is
+    reduced mod p before it sets its quotient digit, and each remainder entry
+    once at the end.
     """
-    sub, mul = field.sub, field.mul
     dm = len(m) - 1
+    if len(a) <= dm:
+        return [], list(a)
     low, lead = m[:dm], m[dm]
     inv_lead = 1 if lead == 1 else field.inv(lead)
     rem = list(a)
-    quo = [0] * max(len(a) - dm, 0)
+    quo = [0] * (len(a) - dm)
+    if field.s == 1:
+        p = field.p
+        terms = [(j, c) for j, c in enumerate(low) if c]
+        for i in range(len(quo) - 1, -1, -1):
+            top = rem[i + dm] % p
+            if top:
+                f = quo[i] = top * inv_lead % p
+                for j, c in terms:
+                    rem[i + j] -= f * c
+        return quo, [c % p for c in rem[:dm]]
+    sub, mul = field.sub, field.mul
     for i in range(len(quo) - 1, -1, -1):
         top = rem[i + dm]
         if top:

@@ -78,6 +78,63 @@ def oracle_base_mul(p, modulus, a, b):
     return _from_digits(p, [c % p for c in prod[:s]])
 
 
+# -- F_q[x] on coefficient lists ----------------------------------------------
+#
+# A polynomial over F_q = F_p[t]/(modulus) is a list of coefficients in [0, q),
+# constant term first, with no trailing zeros; [] is zero.  Every coefficient
+# operation is oracle_base_add or oracle_base_mul: -c is (p - 1) * c, since the
+# int p - 1 encodes -1, and 1/c is c^(q - 2) by square and multiply.
+
+
+def _poly_trim(coeffs):
+    out = list(coeffs)
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def oracle_poly_mul(field, a, b):
+    """Schoolbook product of coefficient lists over field."""
+    p, s, g0 = field.p, field.s, field.modulus
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = oracle_base_add(p, s, out[i + j], oracle_base_mul(p, g0, x, y))
+    return _poly_trim(out)
+
+
+def oracle_poly_add(field, a, b):
+    width = max(len(a), len(b))
+    a, b = a + [0] * (width - len(a)), b + [0] * (width - len(b))
+    return _poly_trim(oracle_base_add(field.p, field.s, x, y) for x, y in zip(a, b))
+
+
+def _oracle_base_inv(field, c):
+    p, g0 = field.p, field.modulus
+    out, e = 1, field.size - 2
+    while e:
+        if e & 1:
+            out = oracle_base_mul(p, g0, out, c)
+        c, e = oracle_base_mul(p, g0, c, c), e >> 1
+    return out
+
+
+def oracle_poly_divmod(field, a, m):
+    """Long division of a by the nonzero m over field: (quotient, remainder)."""
+    if not m:
+        raise ZeroDivisionError("division by the zero polynomial")
+    p, s, g0 = field.p, field.s, field.modulus
+    inv_lead = _oracle_base_inv(field, m[-1])
+    rem = list(a)
+    quo = [0] * max(len(a) - len(m) + 1, 0)
+    for i in range(len(quo) - 1, -1, -1):
+        f = quo[i] = oracle_base_mul(p, g0, rem[i + len(m) - 1], inv_lead)
+        minus_f = oracle_base_mul(p, g0, p - 1, f)
+        for j, y in enumerate(m):
+            rem[i + j] = oracle_base_add(p, s, rem[i + j], oracle_base_mul(p, g0, minus_f, y))
+    return _poly_trim(quo), _poly_trim(rem)
+
+
 def oracle_tower_mul(tower, a, b):
     """a * b in F_q[u]/(h0): F_q coefficient lists multiplied with the base oracles,
     then reduced mod the top modulus h0."""

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -502,6 +503,28 @@ def test_closed_stdout_exits_141():
     err = proc.stderr.read()
     assert proc.wait() == 141
     assert err == b""
+
+
+def test_out_of_memory_exits_2():
+    # 2^40 elements need a 2 TB index array; the address-space limit is the
+    # child's own, so the MemoryError comes at once, whatever the machine has
+    limit = 1 << 30
+
+    def limit_child():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    big = ["--p", "2", "--n", "40", "--size-bound", str(10**22)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "qorder", *big, "pnbt"],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+        preexec_fn=limit_child,
+        timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == "error: out of memory\n"
 
 
 def test_module_invocation_smoke():

@@ -415,9 +415,11 @@ def check_base_arithmetic(field, pairs):
 
 class TestBaseFieldArithmetic:
     @pytest.mark.parametrize(
-        "p,s", [(2, 1), (3, 1), (131, 1), (2, 2), (2, 3), (3, 2), (5, 2)]
+        "p,s",
+        [(2, 1), (3, 1), (131, 1), (2, 2), (2, 3), (2, 4), (3, 2), (5, 2), (3, 3), (7, 2)],
     )
     def test_exhaustive(self, p, s):
+        # every pair: XOR for p = 2, Zech logarithms for odd p with s > 1
         field = base_field(p, s)
         check_base_arithmetic(field, itertools.product(range(field.size), repeat=2))
 

@@ -43,6 +43,9 @@ from oracles import (
     oracle_f2_reciprocal,
     oracle_factor,
     oracle_is_irreducible,
+    oracle_poly_add,
+    oracle_poly_divmod,
+    oracle_poly_mul,
     oracle_tower_mul,
     oracle_unit_count,
 )
@@ -182,6 +185,43 @@ class TestArithmetic:
                     expected = (expected * a) % m
                 if m.degree == 0:
                     assert expected.is_zero
+
+
+# -- F_q[x] on coefficient lists --------------------------------------------------
+
+
+class TestCoefficientKernels:
+    """* and divmod over q > 2 against schoolbook oracles on coefficient lists:
+    plain residues over F_p (up to p = 2^61 - 1), XOR over F_4 and F_8, Zech
+    logarithms over F_9, F_25 and F_{3^8} (the largest odd-p field with log
+    tables), and the tower's digit loop over F_{3^9}, past them."""
+
+    @pytest.mark.parametrize(
+        "p,s",
+        [(3, 1), (7, 1), (2**61 - 1, 1), (2, 2), (2, 3), (3, 2), (5, 2), (3, 8), (3, 9)],
+    )
+    def test_matches_oracle(self, p, s):
+        field = base_field(p, s)
+        top = field.size - 1
+        rng = random.Random(p * 100 + s)
+
+        def draw(degree, lead=None):
+            lower = [rng.randrange(field.size) for _ in range(degree)]
+            return [*lower, rng.randrange(1, field.size) if lead is None else lead]
+
+        # zero, constants, all-(q - 1) coefficients, monic and non-monic operands
+        operands = [[], [1], [top], draw(0), draw(1), draw(3), draw(5, 1), draw(8)]
+        operands += [[top] * 9, draw(13)]
+        divisors = [[1], [top], draw(0), draw(1), draw(2, 1), draw(3), draw(5), [top] * 4]
+        for a in operands:
+            for b in operands:
+                assert list((P(field, *a) * P(field, *b)).coeffs) == oracle_poly_mul(field, a, b)
+            for m in divisors:
+                quo, rem = divmod(P(field, *a), P(field, *m))
+                quo, rem = list(quo.coeffs), list(rem.coeffs)
+                assert (quo, rem) == oracle_poly_divmod(field, a, m), (a, m)
+                assert len(rem) < len(m)
+                assert oracle_poly_add(field, oracle_poly_mul(field, quo, m), rem) == a
 
 
 # -- F_2[x] on bit masks ---------------------------------------------------------
