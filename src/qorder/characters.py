@@ -10,15 +10,15 @@ fast path through the label's element order.
 
 Every character value is read from one F_p-linear functional: Tr(a * v) is
 the dot product of v's base-p digits with those of u = G a, for the trace Gram
-matrix G (_functional).  The scan tests g . chi = 1 for each divisor g by that
-functional vanishing on the n*s columns g . p^t of the action matrix A_g (basis
-mode), since the trace form is bilinear, or on every distinct value v = g . x,
-the image of A_g (exhaustive mode), which is grown as the F_p-span of those
-columns (_annihilation_points).  Neither mode uses the reciprocal relation that
-the fast path rests on.  One loop, _first_annihilator, scans a label's
-functional over the divisors' point sets: a single query looks each set up when
-the scan reaches it, and an exhaustive sweep resolves every divisor's image once.
-A basis-mode sweep instead builds the matrix M_g of a -> (Tr(a * (g . p^t)))_t
+matrix G (FieldTower._functional).  The scan tests g . chi = 1 for each divisor
+g by that functional vanishing on the n*s columns g . p^t of the action matrix
+A_g (basis mode), since the trace form is bilinear, or on every distinct value
+v = g . x, the image of A_g (exhaustive mode), the F_p-span of those columns
+(_annihilation_points).  Neither mode uses the reciprocal relation that the
+fast path rests on.  One loop, _first_annihilator, scans a label's functional
+over the divisors' point sets: a single query looks each set up when the scan
+reaches it, and an exhaustive sweep resolves every divisor's image once.  A
+basis-mode sweep instead builds the matrix M_g of a -> (Tr(a * (g . p^t)))_t
 entry by entry from the functional, and walks each M_g's kernel once, last
 divisor first, so that each label keeps the first divisor in scan order whose
 kernel holds it (_char_order).
@@ -75,7 +75,7 @@ def char_eval_exponent(chi: AdditiveCharacter, x: FFElement) -> int:
     tower = chi.tower
     if x.tower != tower:
         raise FieldMismatchError("character and argument from different towers")
-    return _functional(tower, chi.label.value)(tower._pack(x.value))
+    return tower._functional(chi.label.value)(tower._pack(x.value))
 
 
 def char_mul(a: AdditiveCharacter, b: AdditiveCharacter) -> AdditiveCharacter:
@@ -95,26 +95,6 @@ def _check_mode(check: str) -> None:
         raise ValueError(f"check must be one of {_CHECK_MODES}")
 
 
-def _functional(tower: FieldTower, lab: int) -> Callable[[int], int]:
-    """v -> Tr(lab * v), the exponent of chi_lab at v, on v packed as by _linear.
-
-    Digit t of u = G lab is Tr(p^t * lab), so Tr(lab * v) = sum_t u_t v_t mod p:
-    for p = 2 the parity of u & v.  For odd p, u's digits packed highest first
-    against v's lowest first put that sum in field n*s - 1 of one int product,
-    below 2^_width, and no carry crosses fields.
-    """
-    p, u = tower.p, tower._combine(tower._trace_gram(), lab)
-    if p == 2:
-        return lambda v: (u & v).bit_count() & 1
-    w, digits = tower._width, tower.n * tower.s
-    packed = 0
-    for _ in range(digits):
-        u, d = divmod(u, p)
-        packed = packed << w | d
-    top, mask = w * (digits - 1), (1 << w) - 1
-    return lambda v: (packed * v >> top & mask) % p
-
-
 @_cached_map
 def _trace_form_matrix(tower: FieldTower, coeffs: tuple[int, ...]) -> tuple[int, ...]:
     """M_g, the F_p-matrix of a -> (Tr(a * (g . p^t)))_t for t < n*s.
@@ -124,7 +104,7 @@ def _trace_form_matrix(tower: FieldTower, coeffs: tuple[int, ...]) -> tuple[int,
     """
     cols, p = _action_matrix(tower, coeffs), tower.p
     return tower._linear(
-        lambda a: sum(e * p**t for t, e in enumerate(map(_functional(tower, a), cols)))
+        lambda a: sum(e * p**t for t, e in enumerate(map(tower._functional(a), cols)))
     )
 
 
@@ -134,16 +114,13 @@ def _annihilation_points(tower: FieldTower, coeffs: tuple[int, ...]) -> tuple[in
 
     They are the image of the action, the F_p-span of A_g's n*s columns, grown
     one column at a time: a column already in the span adds nothing, any other
-    adds its p - 1 shifted copies span + d * column.  No element is acted on,
-    and the span holds q^(n - deg g) points when g divides x^n - 1.
+    adds its p - 1 shifted copies span + d * column (FieldTower._span).  No
+    element is acted on, and the span holds q^(n - deg g) points if g | x^n - 1.
     """
     span = {0: None}
     for col in _action_matrix(tower, coeffs):
         if col not in span:
-            shift, layer = tower._shift_packed(col), list(span)
-            for _ in range(tower.p - 1):
-                layer = list(map(shift, layer))
-                span.update(dict.fromkeys(layer))
+            span = dict.fromkeys(tower._span((col,), span))
     return tuple(span)
 
 
@@ -174,7 +151,7 @@ def char_annihilated_by(
     tower = chi.tower
     _check_coeff_field(g, tower)
     points = _POINT_SETS[check](tower, g.coeffs)
-    return not any(map(_functional(tower, chi.label.value), points))
+    return not any(map(tower._functional(chi.label.value), points))
 
 
 def _char_order_i(
@@ -185,7 +162,7 @@ def _char_order_i(
     Each divisor's points are looked up only when the scan reaches it.
     """
     scan = (_POINT_SETS[check](tower, g.coeffs) for g in divisors)
-    return divisors[_first_annihilator(_functional(tower, lab), scan)]
+    return divisors[_first_annihilator(tower._functional(lab), scan)]
 
 
 def _char_order(
@@ -204,7 +181,7 @@ def _char_order(
 
     if check == "exhaustive":
         images = [_annihilation_points(tower, g.coeffs) for g in divisors]
-        scan = (_first_annihilator(_functional(tower, v), images) for v in range(tower.size))
+        scan = (_first_annihilator(tower._functional(v), images) for v in range(tower.size))
         return array("H", scan)
     last = len(divisors) - 1
     orders = array("H", [last]) * tower.size

@@ -25,12 +25,12 @@ and residues mod p in F_p itself; odd-p towers, and F_q past the tables, add
 with one loop over base-p digits.
 F_p-linear maps (Frobenius, the trace, the trace form's Gram matrix, and the
 matrices of action.py and characters.py) share one column layout, fixed per
-tower: _linear builds, _combine applies, _compose derives, _shift_packed adds a
-column to points in that layout, and _cached_map keeps each map in the tower's
-one cache.  A sweep over the whole field needs each divisor matrix only through
-its kernel: _kernel_walk yields the kernel row by row, from the matrix's images
-of about twice the square root of the field size many points, so a sweep
-touches each kernel element once.
+tower: _linear builds, _combine applies, _compose derives, _span lists the
+packed images of a range of points, _functional reads the trace form on packed
+points, and _cached_map keeps each map in the tower's one cache.  A sweep over
+the whole field needs each divisor matrix only through its kernel: _kernel_walk
+yields it row by row from the spans of the matrix's low and negated high
+columns, about 2 p^ceil(n*s/2) points, so a sweep touches each kernel element once.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from __future__ import annotations
 import itertools
 import operator
 from functools import lru_cache, reduce, wraps
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import FieldMismatchError, NonPrimeError, ParseError, SizeExceededError
 from .integers import is_prime, prime_factors
@@ -273,7 +273,6 @@ class FieldTower:
         "base",
         "top_modulus",
         "_width",
-        "_split",
         "_maps",
     )
 
@@ -290,7 +289,6 @@ class FieldTower:
         total = self.n * self.s
         # bits per base-p digit in _linear's layout: a sum of n*s products below p^2
         self._width = 1 if self.p == 2 else (total * (self.p - 1) ** 2).bit_length()
-        self._split = self.p ** (total // 2)  # B, the row length of _kernel_walk
         self._maps = {}
 
     @property
@@ -420,26 +418,6 @@ class FieldTower:
             shift += w
         return packed
 
-    def _shift_packed(self, col: int) -> Callable[[int], int]:
-        """v -> v + col on points packed by _pack, each base-p digit reduced mod p.
-
-        For odd p a digit sum is below 2p - 1, and (p - 1)^2 < 2^_width makes
-        2^(_width - 1) >= p: adding 2^(_width - 1) - p to every field sets a
-        field's top bit exactly where its sum reached p, with no carry between
-        fields, and those fields lose p.
-        """
-        if self.p == 2:
-            return col.__xor__
-        p, top = self.p, self._width - 1
-        ones = sum(1 << t * self._width for t in range(self.n * self.s))
-        bias = ones * ((1 << top) - p)
-
-        def shift(v: int) -> int:
-            v += col
-            return v - ((v + bias) >> top & ones) * p
-
-        return shift
-
     def _combine(self, cols: tuple[int, ...], x: int) -> int:
         """Apply the map with columns cols (from _linear) to x."""
         acc, p = 0, self.p
@@ -459,26 +437,52 @@ class FieldTower:
             value = value * p + (acc >> shift & mask) % p
         return value
 
+    def _span(self, cols: Sequence[int], points: Iterable[int] = (0,)) -> list[int]:
+        """points, then each point plus every nonzero F_p-combination of cols, packed.
+
+        Column t appends p - 1 copies of the list so far, copy d plus d times the
+        column, so with points = (0,) entry i + d*p^t is entry i + (d - 1)*p^t plus
+        column t, and entry x is the packed image of x under the map cols.  Each
+        entry costs one XOR (p = 2) or one packed add: for odd p a digit sum is
+        below 2p - 1 and 2^(_width - 1) >= p, since (p - 1)^2 < 2^_width, so adding
+        2^(_width - 1) - p to every field sets a field's top bit exactly where its
+        sum reached p, with no carry between fields, and those fields lose p.
+        """
+        span = list(points)
+        if self.p == 2:
+            for col in cols:
+                span += [v ^ col for v in span]
+            return span
+        p, top = self.p, self._width - 1
+        ones = sum(1 << t * self._width for t in range(self.n * self.s))
+        bias = ones * ((1 << top) - p)
+        for col in cols:
+            layer, biased = span, col + bias
+            for _ in range(p - 1):
+                layer = [v + col - ((v + biased) >> top & ones) * p for v in layer]
+                span += layer
+        return span
+
     def _kernel_walk(self, cols: tuple[int, ...]) -> Iterator[tuple[int, list[int]]]:
         """The kernel of A = cols, one row at a time: (j*B, [i : A (j*B + i) = 0]).
 
-        With B = _split, x = j*B + i is in the kernel exactly when A i = -A (j*B):
-        A is F_p-linear and i, j*B are the low and high base-p digits of x.  The
-        low images A i, i < B, are grouped by value once; row j reads its members
-        from the group of -A (j*B), found through the columns of -A, and rows
-        without members are skipped.  Only p^floor(n*s/2) low indices are held and
-        the kernel is never built, which suits sweeps over the whole field (the
-        table method of Arlazarov, Dinic, Kronrod and Faradzev, 1970).
+        With B = p^h, h = floor(n*s/2), x = j*B + i is in the kernel exactly when
+        A i = -A (j*B), i and j*B being x's low and high base-p digits.  The low
+        images A i, i < B, are the span of A's first h columns, grouped by value
+        once; row j reads its members from the group of -A (j*B), entry j of the
+        span of -A's other columns.  Only B low indices are held and the kernel
+        is never built, which suits sweeps over the whole field (the table method
+        of Arlazarov, Dinic, Kronrod and Faradzev, 1970).
         """
-        combine, half = self._combine, self._split
-        negated = self._linear(lambda b: self.neg_i(combine(cols, b)))
+        h = self.n * self.s // 2
+        negated = self._linear(lambda b: self.neg_i(self._combine(cols, b)))
         groups: dict[int, list[int]] = {}
-        for i in range(half):
-            groups.setdefault(combine(cols, i), []).append(i)
-        for base in range(0, self.size, half):
-            members = groups.get(combine(negated, base))
+        for i, image in enumerate(self._span(cols[:h])):
+            groups.setdefault(image, []).append(i)
+        for j, key in enumerate(self._span(negated[h:])):
+            members = groups.get(key)
             if members:
-                yield base, members
+                yield j * self.p**h, members
 
     def _compose(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         """The columns of x -> a(b(x)), for a and b in the layout of _linear."""
@@ -508,6 +512,25 @@ class FieldTower:
         trace_i, mul_i = self.trace_i, self.mul_i
         basis = [self.p**i for i in range(self.n * self.s)]
         return self._linear(lambda b: sum(trace_i(mul_i(e, b)) * e for e in basis))
+
+    def _functional(self, lab: int) -> Callable[[int], int]:
+        """v -> Tr(lab * v), the exponent of chi_lab at v, on v packed by _pack.
+
+        Digit t of u = G lab is Tr(p^t * lab), so Tr(lab * v) = sum_t u_t v_t mod p:
+        for p = 2 the parity of u & v.  For odd p, u's digits packed highest first
+        against v's lowest first put that sum in field n*s - 1 of one int product,
+        below 2^_width, and no carry crosses fields.
+        """
+        p, u = self.p, self._combine(self._trace_gram(), lab)
+        if p == 2:
+            return lambda v: (u & v).bit_count() & 1
+        w, digits = self._width, self.n * self.s
+        packed = 0
+        for _ in range(digits):
+            u, d = divmod(u, p)
+            packed = packed << w | d
+        top, mask = w * (digits - 1), (1 << w) - 1
+        return lambda v: (packed * v >> top & mask) % p
 
     def trace_i(self, x: int) -> int:
         """Tr_{q^n/p}(x) = sum of the n*s p-power conjugates, as a residue mod p."""

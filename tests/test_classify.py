@@ -430,17 +430,33 @@ def test_sweeps_wrap_no_element_per_element(monkeypatch, capsys):
 
 
 # Fields whose kernel walks split n*s evenly, unevenly, or not at all (n*s = 1),
-# at p = 2 and odd p, with s = 1 and s > 1.
+# at p = 2 and odd p up to 7, with s = 1 and s > 1.
 KERNEL_TABLE_FIELDS = [
     (2, 1, 1),
     (3, 1, 1),
     (2, 1, 5),
     (3, 1, 3),
     (5, 1, 3),
+    (7, 1, 3),
     (2, 3, 1),
     (2, 2, 3),
     (3, 2, 2),
+    (5, 2, 2),
 ]
+
+
+@pytest.mark.parametrize("p,s,n", KERNEL_TABLE_FIELDS)
+def test_span_matches_combine(p, s, n):
+    # entry x of the span of a matrix's columns is the packed image of x, in index
+    # order, for A_g and M_g of every divisor; a span grown from given points goes
+    # on as the span of the remaining columns
+    t, fp = tower_and_factors(p, s, n)
+    for g in divisors_of_xn_minus_1(fp):
+        for cols in (_action_matrix(t, g.coeffs), _trace_form_matrix(t, g.coeffs)):
+            span = t._span(cols)
+            assert span == [t._pack(t._combine(cols, i)) for i in range(p ** len(cols))]
+            h = len(cols) // 2
+            assert t._span(cols[h:], t._span(cols[:h])) == span, str(g)
 
 
 @pytest.mark.parametrize("p,s,n", KERNEL_TABLE_FIELDS)
@@ -459,6 +475,37 @@ def test_kernel_tables_match_combine(p, s, n):
             members = [x in walked for x in range(t.size)]
             assert members == [t._combine(cols, x) == 0 for x in range(t.size)]
             assert sum(len(m) for _, m in rows) == sum(members) == t.q**g.degree, str(g)
+
+
+@pytest.mark.parametrize("p,s,n", KERNEL_TABLE_FIELDS)
+def test_sweeps_combine_only_to_negate_the_walked_matrices(p, s, n, monkeypatch):
+    # once G, every A_g and every M_g are cached, the sweeps apply a matrix with
+    # _combine only for the n*s negated columns of each matrix they walk: the low
+    # images and the row keys of a walk are spans, not one product per point
+    t, fp = tower_and_factors(p, s, n)
+    t._trace_gram()
+    for g in divisors_of_xn_minus_1(fp):
+        _action_matrix(t, g.coeffs), _trace_form_matrix(t, g.coeffs)
+
+    def sweeps():
+        return elements_by_order(t, fp), characters_by_order(t, fp, mode="oracle")
+
+    expected = sweeps()
+    combine, walk, applied, walked = FieldTower._combine, FieldTower._kernel_walk, [], []
+
+    def counted_combine(self, cols, x):
+        applied.append(cols)
+        return combine(self, cols, x)
+
+    def counted_walk(self, cols):
+        walked.append(cols)
+        return walk(self, cols)
+
+    monkeypatch.setattr(FieldTower, "_combine", counted_combine)
+    monkeypatch.setattr(FieldTower, "_kernel_walk", counted_walk)
+    assert sweeps() == expected
+    assert walked and set(applied) <= set(walked)
+    assert len(applied) <= n * s * len(walked)
 
 
 @pytest.mark.parametrize("corrupt", ["action", "trace form"])
