@@ -38,6 +38,7 @@ from .classify import (
     find_primitive_normal,
     is_primitive,
     meyn_criterion,
+    meyn_sweep,
     multiplicative_order,
     orders_coincide_iff_self_reciprocal,
     reciprocal_order_sweep,

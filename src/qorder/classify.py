@@ -2,8 +2,9 @@
 
 This module sweeps whole fields: it partitions elements and characters by
 their orders, verifies that the two order notions coincide exactly on the
-self-reciprocal orders, decides the Meyn criterion for a given (q, n), and
-locates primitive normal elements by exhaustive lexicographic search.
+self-reciprocal orders, decides the Meyn criterion for a given (q, n) or a
+sweep of n (splitting each cyclotomic part once per sweep), and locates
+primitive normal elements by exhaustive lexicographic search.
 
 A sweep makes the checks of the per-element functions once, then takes every
 element's order and its character's order as index arrays into the divisors,
@@ -17,9 +18,10 @@ find_primitive_normal, which stops at its first hit, tests as is_normal does.
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .action import _check_coeff_field, _element_order, _is_normal_i
 from .characters import AdditiveCharacter, _char_order, _check_mode
@@ -29,9 +31,9 @@ from .integers import factorize, prime_power_decomposition
 from .poly import (
     FactoredPoly,
     FqPoly,
+    _factor_xn_minus_1,
     divisor_phi_table,
     divisors_of_xn_minus_1,
-    factor_xn_minus_1,
     is_self_reciprocal,
     monic_reciprocal,
 )
@@ -248,35 +250,34 @@ class MeynVerdict:
 def meyn_criterion(q: int, n: int, *, seed: int = 0) -> MeynVerdict:
     """Decide whether every monic divisor of x^n - 1 over F_q is self-reciprocal.
 
+    The verdict of meyn_sweep(q, (n,), seed=seed) for this one n.
+    """
+    return meyn_sweep(q, (n,), seed=seed)[0]
+
+
+def meyn_sweep(q: int, ns: Iterable[int], *, seed: int = 0) -> list[MeynVerdict]:
+    """The Meyn verdict for each n in ns, over one F_q.
+
     Both routes are computed independently: the modular search for
     q^j = -1 (mod v), and a factorization scan of x^n - 1.  For v = 1 the
     search succeeds at j = 1 since everything is 0 mod 1, matching the
     factorization side where (x - 1)^(p^u) has only self-reciprocal
-    divisors.
+    divisors.  The factorizations share one dict of split cyclotomic parts,
+    so each Phi_d is split once per sweep, however many n it divides.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
     p, s = prime_power_decomposition(q)
-    u, v = 0, n
-    while v % p == 0:
-        v //= p
-        u += 1
-    witness = None
-    for j in range(1, v + 1):
-        if pow(q, j, v) == (v - 1) % v:
-            witness = j
-            break
-    fp = factor_xn_minus_1(n, base_field(p, s), seed)
-    all_sr = all(is_self_reciprocal(g) for g, _ in fp.factors)
-    return MeynVerdict(
-        q=q,
-        n=n,
-        u=u,
-        v=v,
-        criterion_holds=witness is not None,
-        witness_j=witness,
-        all_divisors_self_reciprocal=all_sr,
-    )
+    field, parts, rng = base_field(p, s), {}, random.Random(seed)
+    verdicts = []
+    for n in ns:
+        fp = _factor_xn_minus_1(n, field, parts, rng)  # raises for n < 1
+        all_sr = all(is_self_reciprocal(g) for g, _ in fp.factors)
+        u, v = 0, n
+        while v % p == 0:
+            v //= p
+            u += 1
+        witness = next((j for j in range(1, v + 1) if pow(q, j, v) == (v - 1) % v), None)
+        verdicts.append(MeynVerdict(q, n, u, v, witness is not None, witness, all_sr))
+    return verdicts
 
 
 def multiplicative_order(x: FFElement) -> int:

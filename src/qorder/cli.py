@@ -29,7 +29,7 @@ from .classify import (
     VERIFICATION_GRID,
     classification_report,
     find_primitive_normal,
-    meyn_criterion,
+    meyn_sweep,
     multiplicative_order,
     orders_coincide_iff_self_reciprocal,
     reciprocal_order_sweep,
@@ -300,8 +300,8 @@ def cmd_corollary2(config: CommandConfig) -> ReportDocument:
     rows = []
     counterexamples = []
     for q in q_values:
-        for n in range(1, n_max + 1):
-            verdict = meyn_criterion(q, n, seed=config.seed)
+        for verdict in meyn_sweep(q, range(1, n_max + 1), seed=config.seed):
+            n = verdict.n
             rows.append(
                 {
                     "q": q,

@@ -15,11 +15,13 @@ Both levels share one arithmetic core, FieldTower: F_{q^n} is the tower
 over F_q, and F_q itself (for s > 1) is computed as the tower F_p[t]/(g0)
 over F_p.  A tower product is the multiply and reduction FqPoly uses
 (qorder.poly), on bit masks in F_2[u] when q = 2 and on F_q coefficient lists
-otherwise; powers square and multiply, and the inverse is the power -1.  Only
-F_q for s > 1, up to 2^14 elements, keeps tables: it multiplies and inverts
+otherwise; a square in characteristic 2 spreads the coefficients instead, with
+no cross terms; powers square and multiply, and the inverse is the power -1.
+Only F_q for s > 1, up to 2^14 elements, keeps tables: it multiplies and inverts
 through discrete logarithms and, for odd p, adds, subtracts and negates through
-Zech logarithms, since every coefficient operation of F_q[x] and of every tower
-over it goes through them.  Under + F_{q^n} is F_p^(n*s), so addition is F_p
+Zech logarithms, and FqPoly's coefficient loops, which every coefficient
+operation of F_q[x] and of every tower over F_q goes through, read the same
+tables inline.  Under + F_{q^n} is F_p^(n*s), so addition is F_p
 digit arithmetic: XOR for p = 2, since an element's bits are its F_2 digits,
 and residues mod p in F_p itself; odd-p towers, and F_q past the tables, add
 with one loop over base-p digits.
@@ -72,13 +74,17 @@ class BaseField:
     _EXP_LOG_BOUND, mul and inv read log tables stepped by a generator, and for
     odd p add, sub and neg read Zech logarithms beside them; past the bound
     they are the tower's mul_i, inv_i, add_i, sub_i and neg_i.  For s = 1 they
-    are plain residue operations mod p.
+    are plain residue operations mod p.  The tables stay in the exp, log and
+    (odd p) zech slots, None where there are none, for FqPoly's coefficient
+    loops (qorder.poly) to read inline, with no call per term.
 
     Instances are immutable after construction; use base_field() to get the
     canonical instance for given (p, s).
     """
 
-    __slots__ = ("p", "s", "size", "modulus", "add", "neg", "sub", "mul", "inv", "_lex")
+    __slots__ = (
+        "p", "s", "size", "modulus", "add", "neg", "sub", "mul", "inv", "exp", "log", "zech", "_lex"
+    )
 
     def __init__(self, p: int, s: int, modulus: tuple[int, ...]):
         self.p = p
@@ -87,7 +93,7 @@ class BaseField:
         self.modulus = tuple(modulus)
         if len(self.modulus) != s + 1 or self.modulus[-1] != 1:
             raise ValueError("modulus must be monic of degree s")
-        self._lex = None
+        self._lex = self.exp = self.log = self.zech = None
         if p == 2:  # an element's bits are its F_2 digits
             self.add = self.sub = operator.xor
             self.neg = operator.pos
@@ -157,9 +163,10 @@ class BaseField:
         return f"BaseField(p={self.p}, s={self.s})"
 
 
-def _log_table_arithmetic(tower: FieldTower) -> dict[str, Callable]:
+def _log_table_arithmetic(tower: FieldTower) -> dict[str, object]:
     """mul and inv of a small field through exp[i] = gen^i and log = exp^-1, and
-    for odd p also add, sub and neg through the Zech logarithms of gen.
+    for odd p also add, sub and neg through the Zech logarithms of gen; with
+    the tables exp, log and zech themselves.
 
     exp runs over two periods, so a product reads exp[log a + log b] with no
     reduction; the tables step by the matrix of multiplication by gen.  With
@@ -188,8 +195,9 @@ def _log_table_arithmetic(tower: FieldTower) -> dict[str, Callable]:
             raise ZeroDivisionError("inverse of zero")
         return exp[m - log[a]]
 
+    ops = {"mul": mul, "inv": inv, "exp": exp, "log": log}
     if tower.p == 2:
-        return {"mul": mul, "inv": inv}
+        return ops
     h = m // 2
     zech = [None if k == h else log[tower.add_i(1, exp[k])] for k in range(m)] * 2
 
@@ -213,7 +221,7 @@ def _log_table_arithmetic(tower: FieldTower) -> dict[str, Callable]:
     def neg(a: int) -> int:
         return exp[log[a] + h] if a else 0
 
-    return {"mul": mul, "inv": inv, "add": add, "sub": sub, "neg": neg}
+    return ops | {"add": add, "sub": sub, "neg": neg, "zech": zech}
 
 
 def smallest_irreducible(field: BaseField, degree: int) -> FqPoly:

@@ -8,10 +8,14 @@ Over F_2 the polynomial is kept as one int bit mask instead, and the tuple
 is built only when asked for.  Products and remainders are _clmul and _clmod
 on bit masks over F_2, _coeff_mul (schoolbook) and _coeff_divmod (long
 division) on coefficient lists otherwise; the tower F_{q^n} = F_q[u]/(h0) in
-qorder.fields multiplies with the same helpers.  Over a prime field those two
-work on plain int residues, reduced mod p once per coefficient, with no call
-per term; over F_q with s > 1 each term is a call to the field's mul and add,
-which are log and Zech tables (XOR for the add when p = 2) up to 2^14 elements.
+qorder.fields multiplies with the same helpers.  None of them calls a
+function per term: over a prime field they work on plain int residues,
+reduced mod p once per coefficient, and over F_q with s > 1, up to 2^14
+elements, they read the field's exp and log tables inline, adding by XOR
+when p = 2 and by a Zech logarithm step otherwise.  Only past the tables is
+each term a call to the field's mul and add.  In characteristic 2 a square
+has no cross terms, so _clmul and _coeff_mul square by spreading the
+coefficients, and Euclid over F_2 runs on bare bit masks.
 
 Beyond ring arithmetic this module provides the monic reciprocal
 f*(x) = f(0)^-1 x^deg(f) f(1/x), one distinct-degree loop that serves the
@@ -49,7 +53,13 @@ _BIT_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
 def _clmul(a: int, b: int) -> int:
-    """Carry-less product of F_2[x] bit masks: a shifted copy of a per set bit of b."""
+    """Carry-less product of F_2[x] bit masks: a shifted copy of a per set bit of b.
+
+    A square has no cross terms in characteristic 2, (sum a_i x^i)^2 =
+    sum a_i x^(2i), so a * a is the binary digits of a read in base 4.
+    """
+    if a == b:
+        return int(bin(a)[2:], 4)
     out = 0
     while b:
         low = b & -b
@@ -73,24 +83,60 @@ def _coeff_mul(field: "BaseField", a: Sequence[int], b: Sequence[int]) -> list[i
     """Schoolbook product of F_q coefficient lists (constant first); [] is zero.
 
     Over F_p (s = 1) the products accumulate as plain ints, reduced mod p once
-    per output coefficient; otherwise each term is one field.mul and one
-    field.add.
+    per output coefficient.  Over F_q with s > 1 and log tables each row of
+    terms exp[log a_i + log b_j] is added in place by _add_row.  Past the
+    tables each term is one field.mul and one field.add.  In characteristic 2
+    a square has no cross terms: a * a is sum a_i^2 x^(2i), one field.mul per
+    coefficient.
     """
     out = [0] * (len(a) + len(b) - 1)
-    terms = [(j, bj) for j, bj in enumerate(b) if bj]
-    if field.s == 1:
+    if field.p == 2 and a == b:
+        out[::2] = map(field.mul, a, a)
+        return out
+    exp, log, zech = field.exp, field.log, field.zech
+    if exp is None:  # F_p, or F_q past the tables
+        terms = [(j, bj) for j, bj in enumerate(b) if bj]
+        if field.s == 1:
+            for i, ai in enumerate(a):
+                if ai:
+                    for j, bj in terms:
+                        out[i + j] += ai * bj
+            p = field.p
+            return [c % p for c in out]
+        add, mul = field.add, field.mul
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in terms:
-                    out[i + j] += ai * bj
-        p = field.p
-        return [c % p for c in out]
-    add, mul = field.add, field.mul
+                    out[i + j] = add(out[i + j], mul(ai, bj))
+        return out
+    terms = [(j, log[bj]) for j, bj in enumerate(b) if bj]
     for i, ai in enumerate(a):
         if ai:
-            for j, bj in terms:
-                out[i + j] = add(out[i + j], mul(ai, bj))
+            _add_row(out, i, log[ai], terms, exp, log, zech)
     return out
+
+
+def _add_row(out: list, i: int, la: int, terms, exp, log, zech) -> None:
+    """out[i + j] += gen^(la + lb) for each (j, lb) in terms, over F_q's log tables.
+
+    For p = 2 (zech is None) the add is a XOR.  For odd p it is a Zech step:
+    c + gen^t = gen^(log c) (1 + gen^(t - log c)) = exp[log c + zech[t - log c]];
+    la and each lb lie in [0, q - 1), so every index stays in zech's and exp's
+    two periods (see fields._log_table_arithmetic).
+    """
+    if zech is None:
+        for j, lb in terms:
+            out[i + j] ^= exp[la + lb]
+        return
+    for j, lb in terms:
+        k = i + j
+        c = out[k]
+        if c:
+            lc = log[c]
+            z = zech[la + lb - lc]
+            out[k] = 0 if z is None else exp[lc + z]
+        else:
+            out[k] = exp[la + lb]
 
 
 def _coeff_divmod(
@@ -99,35 +145,46 @@ def _coeff_divmod(
     """Quotient and remainder of F_q coefficient lists by long division, m[-1] != 0.
 
     The remainder has min(len(a), deg m) entries, trailing zeros included.
-    Over F_p (s = 1) the remainder holds plain ints: each top coefficient is
-    reduced mod p before it sets its quotient digit, and each remainder entry
-    once at the end.
+    Each quotient row adds -f * m to the remainder.  Over F_p (s = 1) the
+    terms are plain ints: each top coefficient is reduced mod p before it sets
+    its quotient digit, and each remainder entry once at the end.  Over F_q
+    with s > 1 and log tables each row is added by _add_row.
     """
     dm = len(m) - 1
     if len(a) <= dm:
         return [], list(a)
-    low, lead = m[:dm], m[dm]
-    inv_lead = 1 if lead == 1 else field.inv(lead)
     rem = list(a)
     quo = [0] * (len(a) - dm)
-    if field.s == 1:
-        p = field.p
-        terms = [(j, c) for j, c in enumerate(low) if c]
-        for i in range(len(quo) - 1, -1, -1):
-            top = rem[i + dm] % p
-            if top:
-                f = quo[i] = top * inv_lead % p
+    rows = range(len(quo) - 1, -1, -1)
+    exp, log, zech = field.exp, field.log, field.zech
+    if exp is None:  # F_p, or F_q past the tables
+        terms = [(j, c) for j, c in enumerate(m[:dm]) if c]
+        inv_lead = 1 if m[dm] == 1 else field.inv(m[dm])
+        if field.s == 1:
+            p = field.p
+            for i in rows:
+                if top := rem[i + dm] % p:
+                    f = quo[i] = top * inv_lead % p
+                    for j, c in terms:
+                        rem[i + j] -= f * c
+            return quo, [c % p for c in rem[:dm]]
+        sub, mul = field.sub, field.mul
+        for i in rows:
+            if top := rem[i + dm]:
+                f = quo[i] = top if inv_lead == 1 else mul(top, inv_lead)
                 for j, c in terms:
-                    rem[i + j] -= f * c
-        return quo, [c % p for c in rem[:dm]]
-    sub, mul = field.sub, field.mul
-    for i in range(len(quo) - 1, -1, -1):
-        top = rem[i + dm]
-        if top:
-            f = quo[i] = top if inv_lead == 1 else mul(top, inv_lead)
-            for j, c in enumerate(low):
-                if c:
                     rem[i + j] = sub(rem[i + j], mul(f, c))
+        return quo, rem[:dm]
+    period = field.size - 1
+    log_inv = period - log[m[dm]]  # log of 1/m[dm]
+    # -1 is gen^((q - 1)/2) for odd p and 1 for p = 2
+    log_neg_inv = log_inv if zech is None else log_inv + period // 2
+    terms = [(j, log[c]) for j, c in enumerate(m[:dm]) if c]
+    for i in rows:
+        if top := rem[i + dm]:
+            lf = log[top]
+            quo[i] = exp[lf + log_inv]
+            _add_row(rem, i, (lf + log_neg_inv) % period, terms, exp, log, zech)  # -f * m
     return quo, rem[:dm]
 
 
@@ -145,17 +202,28 @@ class FqPoly:
 
     def __init__(self, field: "BaseField", coeffs: Iterable[int] = ()):
         cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
         q = field.size
         for c in cs:
             if not 0 <= c < q:
                 raise ValueError(f"coefficient {c!r} outside [0, {q})")
+        self._fill(field, cs)
+
+    def _fill(self, field: "BaseField", cs: list[int]) -> None:
+        while cs and cs[-1] == 0:
+            cs.pop()
         self.field = field
         self.coeffs = tuple(cs)
         self._mask = None
-        if q == 2:
+        if field.size == 2:
             self._mask = int(bytes(cs[::-1]).translate(_BIT_DIGITS) or b"0", 2)
+
+    @staticmethod
+    def _of_list(field: "BaseField", cs: list[int]) -> "FqPoly":
+        """The polynomial with coefficient list cs (stripped in place), each entry
+        already in [0, q), as arithmetic results are: unlike FqPoly(), no check."""
+        f = object.__new__(FqPoly)
+        f._fill(field, cs)
+        return f
 
     @staticmethod
     def _of_mask(field: "BaseField", mask: int) -> "FqPoly":
@@ -187,7 +255,7 @@ class FqPoly:
         cs = [0] * (n + 1)
         cs[0] = field.neg(1)
         cs[n] = 1
-        return cls(field, cs)
+        return FqPoly._of_list(field, cs)
 
     # -- basic queries -----------------------------------------------------
 
@@ -234,13 +302,13 @@ class FqPoly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] = field.add(out[i], c)
-        return FqPoly(field, out)
+        return FqPoly._of_list(field, out)
 
     def __neg__(self) -> "FqPoly":
         if self._mask is not None:
             return self
         field = self.field
-        return FqPoly(field, (field.neg(c) for c in self.coeffs))
+        return FqPoly._of_list(field, [field.neg(c) for c in self.coeffs])
 
     def __sub__(self, other: "FqPoly") -> "FqPoly":
         return self + (-other)
@@ -250,12 +318,12 @@ class FqPoly:
         field = self.field
         if self._mask is not None:
             return FqPoly._of_mask(field, _clmul(self._mask, other._mask))
-        return FqPoly(field, _coeff_mul(field, self.coeffs, other.coeffs))
+        return FqPoly._of_list(field, _coeff_mul(field, self.coeffs, other.coeffs))
 
     def scale(self, c: int) -> "FqPoly":
         """Multiply by the scalar c."""
         field = self.field
-        return FqPoly(field, (field.mul(c, a) for a in self.coeffs))
+        return FqPoly._of_list(field, [field.mul(c, a) for a in self.coeffs])
 
     def __divmod__(self, other: "FqPoly") -> tuple["FqPoly", "FqPoly"]:
         self._check_field(other)
@@ -274,12 +342,14 @@ class FqPoly:
             quo, rem = both & ((1 << k) - 1), both >> k
             return FqPoly._of_mask(field, quo), FqPoly._of_mask(field, rem)
         quo, rem = _coeff_divmod(field, self.coeffs, other.coeffs)
-        return FqPoly(field, quo), FqPoly(field, rem)
+        return FqPoly._of_list(field, quo), FqPoly._of_list(field, rem)
 
     def __floordiv__(self, other: "FqPoly") -> "FqPoly":
         return divmod(self, other)[0]
 
     def __mod__(self, other: "FqPoly") -> "FqPoly":
+        if self._mask is not None and other._mask:  # over F_2, no quotient bits
+            return FqPoly._of_mask(self.field, _clmod(self._mask, other._mask))
         return divmod(self, other)[1]
 
     def powmod(self, exponent: int, modulus: "FqPoly") -> "FqPoly":
@@ -362,6 +432,12 @@ def poly_sort_key(f: FqPoly) -> tuple:
 
 def poly_gcd(a: FqPoly, b: FqPoly) -> FqPoly:
     """Monic greatest common divisor (zero if both inputs are zero)."""
+    a._check_field(b)
+    if a._mask is not None:  # over F_2, Euclid on the bit masks alone
+        x, y = a._mask, b._mask
+        while y:
+            x, y = y, _clmod(x, y)
+        return FqPoly._of_mask(a.field, x)
     while not b.is_zero:
         a, b = b, a % b
     return a if a.is_zero else a.monic()
@@ -416,7 +492,7 @@ def monic_reciprocal(f: FqPoly) -> FqPoly:
         )
     if m is not None:  # over F_2 the bit mask read backwards, already monic
         return FqPoly._of_mask(f.field, int(bin(m)[:1:-1], 2))
-    return FqPoly(f.field, f.coeffs[::-1]).monic()
+    return FqPoly._of_list(f.field, list(f.coeffs[::-1])).monic()
 
 
 def is_self_reciprocal(f: FqPoly) -> bool:
@@ -447,7 +523,7 @@ def _monic_walk(field: "BaseField", degree: int, start: int) -> Iterator[FqPoly]
         for _ in range(degree):
             k, r = divmod(k, q)
             lower.append(order[r])
-        yield FqPoly(field, (*reversed(lower), 1))
+        yield FqPoly._of_list(field, [*reversed(lower), 1])
 
 
 def is_irreducible(f: FqPoly) -> bool:
@@ -544,7 +620,10 @@ def _equal_degree_split(f: FqPoly, d: int, rng: random.Random) -> list[FqPoly]:
     field = f.field
     q, one = field.size, FqPoly.one(field)
     while True:
-        r = FqPoly(field, [rng.randrange(q) for _ in range(f.degree)])
+        if q == 2:
+            r = FqPoly._of_mask(field, rng.getrandbits(f.degree))
+        else:
+            r = FqPoly._of_list(field, [rng.randrange(q) for _ in range(f.degree)])
         g = poly_gcd(r, f)
         if g.degree == 0:  # r is a unit mod f
             if field.p == 2:
@@ -552,7 +631,7 @@ def _equal_degree_split(f: FqPoly, d: int, rng: random.Random) -> list[FqPoly]:
                 w, acc = FqPoly.zero(field), r
                 for _ in range(field.s * d):
                     w = w + acc
-                    acc = acc.powmod(2, f)
+                    acc = (acc * acc) % f
                 assert acc == r, f"not every factor has degree {d}"
                 g = poly_gcd(w, f)
             else:
@@ -601,6 +680,15 @@ def factor_xn_minus_1(n: int, field: "BaseField", seed: int = 0) -> FactoredPoly
     separates.  The seed drives the internal splitting randomness only; the
     canonical sorting makes the result seed-independent.
     """
+    return _factor_xn_minus_1(n, field, {}, random.Random(seed))
+
+
+def _factor_xn_minus_1(
+    n: int, field: "BaseField", parts: dict, rng: random.Random
+) -> FactoredPoly:
+    """factor_xn_minus_1 reusing parts, which maps each d already split to
+    (Phi_d, its irreducible factors) and gains an entry for each new d: a
+    sweep over n that shares one dict splits every Phi_d once."""
     if n < 1:
         raise ValueError("n must be positive")
     p, q = field.p, field.size
@@ -608,13 +696,14 @@ def factor_xn_minus_1(n: int, field: "BaseField", seed: int = 0) -> FactoredPoly
     while v % p == 0:
         v //= p
         u += 1
-    rng, one = random.Random(seed), FqPoly.one(field)
-    cyclotomic, irreducibles = {}, []
+    irreducibles = []
     for d in (d for d in range(1, v + 1) if v % d == 0):
-        lower = (phi_e for e, phi_e in cyclotomic.items() if d % e == 0)
-        phi = cyclotomic[d] = FqPoly.x_pow_minus_one(field, d) // prod(lower, start=one)
-        order = next(k for k in range(1, d + 1) if pow(q, k, d) == 1 % d)
-        irreducibles += _equal_degree_split(phi, order, rng)
+        if d not in parts:
+            lower = (phi_e for e, (phi_e, _) in parts.items() if d % e == 0)
+            phi = FqPoly.x_pow_minus_one(field, d) // prod(lower, start=FqPoly.one(field))
+            order = next(k for k in range(1, d + 1) if pow(q, k, d) == 1 % d)
+            parts[d] = phi, _equal_degree_split(phi, order, rng)
+        irreducibles += parts[d][1]
     irreducibles.sort(key=poly_sort_key)
     return FactoredPoly(field, tuple((g, p**u) for g in irreducibles))
 

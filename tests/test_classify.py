@@ -1,5 +1,6 @@
 import json
 from collections import Counter
+from math import gcd
 
 import pytest
 
@@ -29,6 +30,7 @@ from qorder import (
     is_primitive,
     is_self_reciprocal,
     meyn_criterion,
+    meyn_sweep,
     monic_reciprocal,
     multiplicative_order,
     orders_coincide_iff_self_reciprocal,
@@ -36,7 +38,7 @@ from qorder import (
     reciprocal_order_sweep,
     smallest_irreducible,
 )
-from qorder import classify
+from qorder import classify, poly
 from qorder.action import _action_matrix, _element_order
 from qorder.characters import _char_order, _trace_form_matrix
 from qorder.cli import main
@@ -210,6 +212,47 @@ class TestMeyn:
     def test_sweep_constants(self):
         assert MEYN_SWEEP_PRIME_POWERS == (2, 3, 4, 5, 7, 8, 9)
         assert MEYN_SWEEP_MAX_N == 20
+
+    def test_corollary2_splits_each_cyclotomic_part_once(self, monkeypatch, capsys):
+        # x^n - 1 = (x^v - 1)^(p^u) needs Phi_d for d | v only, so n = 1..20 over
+        # F_4 needs the ten odd d <= 20; one factorization per n would split
+        # Phi_d once for each n whose odd part d divides (39 top-level splits)
+        split, depth, top_level = poly._equal_degree_split, [0], []
+
+        def counting(f, d, rng):
+            if not depth[0]:
+                top_level.append(f.degree)
+            depth[0] += 1
+            try:
+                return split(f, d, rng)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(poly, "_equal_degree_split", counting)
+        assert main(["--p", "2", "--s", "2", "corollary2", "--n-max", "20"]) == 0
+        capsys.readouterr()
+        phi_degrees = [sum(1 for k in range(1, d + 1) if gcd(k, d) == 1) for d in range(1, 21, 2)]
+        assert top_level == phi_degrees
+
+    @pytest.mark.parametrize("p,s", [(2, 1), (2, 2), (3, 2)])
+    def test_corollary2_rows_equal_single_verdicts(self, p, s, capsys):
+        argv = ["--p", str(p), "--s", str(s), "corollary2", "--n-max", "30", "--format", "json"]
+        assert main(argv) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert [row["n"] for row in rows] == list(range(1, 31))
+        for row in rows:
+            verdict = meyn_criterion(p**s, row["n"], seed=row["n"])
+            assert row == {
+                "q": p**s,
+                "n": row["n"],
+                "u": verdict.u,
+                "v": verdict.v,
+                "criterion_holds": verdict.criterion_holds,
+                "witness_j": verdict.witness_j,
+                "all_divisors_self_reciprocal": verdict.all_divisors_self_reciprocal,
+                "agree": verdict.consistent,
+            }
+        assert meyn_sweep(p**s, range(1, 31)) == [meyn_criterion(p**s, n) for n in range(1, 31)]
 
 
 class TestMultiplicativeOrder:

@@ -28,9 +28,16 @@ from qorder import (
     smallest_irreducible,
 )
 from qorder.classify import MEYN_SWEEP_PRIME_POWERS
-from qorder.errors import ParseError
+from qorder.errors import FieldMismatchError, ParseError
 from qorder.integers import prime_power_decomposition
-from qorder.poly import _distinct_degree, _equal_degree_split
+from qorder.fields import _EXP_LOG_BOUND
+from qorder.poly import (
+    _clmul,
+    _coeff_divmod,
+    _coeff_mul,
+    _distinct_degree,
+    _equal_degree_split,
+)
 
 from oracles import (
     monic_polys,
@@ -222,6 +229,98 @@ class TestCoefficientKernels:
                 assert (quo, rem) == oracle_poly_divmod(field, a, m), (a, m)
                 assert len(rem) < len(m)
                 assert oracle_poly_add(field, oracle_poly_mul(field, quo, m), rem) == a
+
+
+class TestTableLoops:
+    """_coeff_mul and _coeff_divmod called directly, on random operands up to
+    degree 30: inline log and Zech table loops over F_4, F_8, F_9, F_25 and
+    F_{3^8}, field calls past the tables over F_{3^9}, and F_p loops over F_3
+    and F_7; the products include squares, which spread the coefficients in
+    characteristic 2."""
+
+    @pytest.mark.parametrize("p,s", [(2, 2), (2, 3), (3, 2), (5, 2), (3, 8), (3, 9), (3, 1), (7, 1)])
+    def test_kernels_match_oracle(self, p, s):
+        field = base_field(p, s)
+        assert (field.exp is not None) == (1 < s and field.size <= _EXP_LOG_BOUND)
+        rng = random.Random(p * 1000 + s)
+
+        def draw(degree, lead=None):
+            lower = [rng.choice((0, rng.randrange(field.size))) for _ in range(degree)]
+            return [*lower, rng.randrange(1, field.size) if lead is None else lead]
+
+        # zero, constants (one of them the divisor), monic and non-monic operands
+        operands = [[], [1], [field.size - 1], *(draw(rng.randrange(31)) for _ in range(8))]
+        divisors = [[1], [field.size - 1], draw(0), draw(1, 1), draw(9), draw(10, 1), draw(25)]
+        for a in operands:
+            for b in operands:
+                assert _trim(_coeff_mul(field, a, b)) == oracle_poly_mul(field, a, b)
+            for m in divisors:
+                quo, rem = _coeff_divmod(field, a, m)
+                assert len(rem) == min(len(a), len(m) - 1)
+                assert all(0 <= c < field.size for c in quo + rem)
+                assert (_trim(quo), _trim(rem)) == oracle_poly_divmod(field, a, m), (a, m)
+
+    @pytest.mark.parametrize("p,s,ns", [(2, 2, (1, 3, 6)), (2, 3, (1, 2, 5)), (2, 15, (1,))])
+    def test_char2_square_matches_product(self, p, s, ns):
+        # f * f spreads the coefficients; f * (f + 1) - f is the same square
+        # through the schoolbook loop
+        field = base_field(p, s)
+        rng = random.Random(s)
+        for degree in range(61):
+            f = FqPoly(field, [rng.randrange(field.size) for _ in range(degree)] + [1])
+            assert f * f == f * (f + FqPoly.one(field)) - f
+        for n in ns:  # FieldTower.mul_i squares the same way when x == y
+            _check_tower_squares(build_tower(p, s, n), rng)
+
+    def test_mask_square_matches_product(self):
+        rng = random.Random(2)
+        for degree in range(2001):
+            a = rng.getrandbits(degree) | 1 << degree
+            assert _clmul(a, a) == _clmul(a, a ^ 1) ^ a  # a (a + 1) + a, shifting copies
+            f = FqPoly._of_mask(F2, a)
+            assert (f * f)._mask == _clmul(a, a)
+        assert _clmul(0, 0) == 0
+        for n in (1, 9, 64):
+            _check_tower_squares(build_tower(2, 1, n, size_bound=1 << 64), rng)
+
+    def test_mask_gcd_matches_oracle(self):
+        rng = random.Random(3)
+
+        def digits(degree):
+            return [] if degree < 0 else [rng.randrange(2) for _ in range(degree)] + [1]
+
+        for _ in range(300):
+            a, b = digits(rng.randrange(-1, 120)), digits(rng.randrange(-1, 120))
+            if rng.random() < 0.5:  # share a factor, so the gcd is not 1
+                g = digits(rng.randrange(1, 30))
+                a, b = oracle_f2_mul(a, g), oracle_f2_mul(b, g)
+            gcd_ab = poly_gcd(P(F2, *a), P(F2, *b))
+            assert gcd_ab.coeffs == tuple(oracle_f2_gcd(a, b))
+            assert gcd_ab == poly_gcd(P(F2, *b), P(F2, *a))
+
+    def test_constructor_checks_outside_input_only(self):
+        with pytest.raises(ValueError):
+            FqPoly(F4, (1, 4))
+        with pytest.raises(ValueError):
+            FqPoly(F3, (-1,))
+        with pytest.raises(ParseError):
+            parse_poly(F9, "1,9")
+        with pytest.raises(FieldMismatchError):
+            poly_gcd(P(F2, 1, 1), P(F4, 1, 1))
+
+
+def _check_tower_squares(t, rng):
+    for x in [0, 1, t.size - 1] + [rng.randrange(t.size) for _ in range(20)]:
+        x2 = oracle_tower_mul(t, x, x)
+        assert t.mul_i(x, x) == x2
+        assert t.pow_i(x, 5) == oracle_tower_mul(t, oracle_tower_mul(t, x2, x2), x)
+
+
+def _trim(coeffs):
+    out = list(coeffs)
+    while out and out[-1] == 0:
+        out.pop()
+    return out
 
 
 # -- F_2[x] on bit masks ---------------------------------------------------------
