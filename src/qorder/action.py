@@ -5,8 +5,9 @@ an F_q-linear map (the linearized form of g).  The annihilator of any x is
 an ideal containing x^n - 1; its monic generator is the element's order,
 and the elements of maximal order x^n - 1 are exactly the normal ones.
 
-Each g acts through its F_p-matrix A_g (_action_matrix), built once per
-tower and polynomial in the tower's map cache.  Orders are read per
+Each g acts through its F_p-matrix A_g (FieldTower._action_matrix), read off
+the tower's orbit table with no field multiplication and kept once per tower
+and polynomial in the tower's map cache.  Orders are read per
 irreducible factor from the co-divisors (x^n - 1)/P^j, the same for every
 element (see fq_order).  A query applies their action matrices
 (_fq_order_i); a sweep walks each of their kernels once and counts, per
@@ -25,7 +26,7 @@ from .errors import (
     NotMonicError,
     ZeroConstantTermError,
 )
-from .fields import FFElement, FieldTower, _cached_map
+from .fields import FFElement, FieldTower
 from .poly import FactoredPoly, FqPoly
 
 
@@ -36,19 +37,8 @@ def _check_coeff_field(g: FqPoly | FactoredPoly, tower: FieldTower) -> None:
         raise FieldMismatchError(f"not a factorization of x^{tower.n} - 1")
 
 
-def _action_sum(tower: FieldTower, coeffs: tuple[int, ...], xv: int) -> int:
-    acc = 0
-    for i, a in enumerate(coeffs):
-        if a:
-            y = tower.frob_i(xv, i)
-            acc = tower.add_i(acc, y if a == 1 else tower.mul_i(a, y))
-    return acc
-
-
-@_cached_map
-def _action_matrix(tower: FieldTower, coeffs: tuple[int, ...]) -> tuple[int, ...]:
-    """A_g, the F_p-matrix of x -> sum of a_i * x^(q^i), for g = sum a_i x^i."""
-    return tower._linear(lambda b: _action_sum(tower, coeffs, b))
+#: _action_matrix(tower, coeffs) is A_g for g with those coefficients.
+_action_matrix = FieldTower._action_matrix
 
 
 def _apply_i(tower: FieldTower, coeffs: tuple[int, ...], xv: int) -> int:

@@ -18,19 +18,18 @@ over F_p.  A tower product is the multiply and reduction FqPoly uses
 otherwise; a square in characteristic 2 spreads the coefficients instead, with
 no cross terms; powers square and multiply, and the inverse is the power -1.
 Only F_q for s > 1, up to 2^14 elements, keeps tables: it multiplies and inverts
-through discrete logarithms and, for odd p, adds, subtracts and negates through
-Zech logarithms, and FqPoly's coefficient loops, which every coefficient
-operation of F_q[x] and of every tower over F_q goes through, read the same
-tables inline.  Under + F_{q^n} is F_p^(n*s), so addition is F_p
-digit arithmetic: XOR for p = 2, since an element's bits are its F_2 digits,
-and residues mod p in F_p itself; odd-p towers, and F_q past the tables, add
-with one loop over base-p digits.
-F_p-linear maps (Frobenius, the trace, the trace form's Gram matrix, and the
-matrices of action.py and characters.py) share one column layout, fixed per
-tower: _linear builds, _combine applies, _compose derives, _span lists the
+through discrete logarithms, and FqPoly's coefficient loops, which every
+coefficient operation of F_q[x] and of every tower over F_q goes through, read
+the same tables (and for odd p Zech logarithms) inline.  Under + F_{q^n} is
+F_p^(n*s): XOR for p = 2, residues mod p in F_p, one loop over base-p digits in
+odd-p towers.  F_p-linear maps (Frobenius, the trace, the trace form's Gram
+matrix, and the matrices of action.py and characters.py) share one column
+layout, fixed per tower: _linear builds, _combine applies, _span lists the
 packed images of a range of points, _functional reads the trace form on packed
-points, and _cached_map keeps each map in the tower's one cache.  A sweep over
-the whole field needs each divisor matrix only through its kernel: _kernel_walk
+points, and _cached_map keeps each map in the tower's one cache.  Each map
+x -> sum a_i x^(q^i), Frobenius powers and the trace among them, is an
+_action_matrix read off one per-tower table, _orbit_columns.  A sweep over the
+whole field needs each divisor matrix only through its kernel: _kernel_walk
 yields it row by row from the spans of the matrix's low and negated high
 columns, about 2 p^ceil(n*s/2) points, so a sweep touches each kernel element once.
 """
@@ -39,7 +38,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from functools import lru_cache, reduce, wraps
+from functools import lru_cache, wraps
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import FieldMismatchError, NonPrimeError, ParseError, SizeExceededError
@@ -59,10 +58,9 @@ from .poly import (
 DEFAULT_SIZE_BOUND = 1 << 24
 
 # Internal speed knob; it never affects results, only how they are computed.
-# F_q with s > 1 up to this size multiplies and inverts through log tables, and
-# for odd p adds through Zech logarithms; larger ones use the tower's
-# coefficient-vector and digit arithmetic.  frob_table also
-# reads it.  No F_{q^n} keeps tables: every tower computes the same way.
+# F_q with s > 1 up to this size multiplies and inverts through log tables, which
+# FqPoly's loops read with Zech logarithms for odd p; larger ones use the tower's
+# arithmetic.  frob_table also reads it.  No F_{q^n} keeps tables.
 _EXP_LOG_BOUND = 1 << 14
 
 
@@ -70,20 +68,21 @@ class BaseField:
     """F_q = F_p[t]/(g0) with elements encoded as integers in [0, q).
 
     For p = 2, add and sub are XOR and neg is the identity at every s.  For
-    s > 1 the rest is the arithmetic of the tower F_p < F_p[t]/(g0): up to
-    _EXP_LOG_BOUND, mul and inv read log tables stepped by a generator, and for
-    odd p add, sub and neg read Zech logarithms beside them; past the bound
-    they are the tower's mul_i, inv_i, add_i, sub_i and neg_i.  For s = 1 they
-    are plain residue operations mod p.  The tables stay in the exp, log and
-    (odd p) zech slots, None where there are none, for FqPoly's coefficient
-    loops (qorder.poly) to read inline, with no call per term.
+    s > 1 the rest is the arithmetic of the tower F_p < F_p[t]/(g0), kept in
+    the tower slot (its trace_i is Tr_{q/p}): the tower's add_i, sub_i and
+    neg_i, and up to _EXP_LOG_BOUND mul and inv read log tables stepped by a
+    generator, past it the tower's mul_i and inv_i.  For s = 1 they are plain
+    residue operations mod p, and tower is None.  The tables stay in the exp,
+    log and (odd p) zech slots, None where there are none, for FqPoly's
+    coefficient loops (qorder.poly) to read inline, with no call per term.
 
     Instances are immutable after construction; use base_field() to get the
     canonical instance for given (p, s).
     """
 
     __slots__ = (
-        "p", "s", "size", "modulus", "add", "neg", "sub", "mul", "inv", "exp", "log", "zech", "_lex"
+        "p", "s", "size", "modulus", "add", "neg", "sub", "mul", "inv", "exp", "log", "zech",
+        "tower", "_lex",
     )
 
     def __init__(self, p: int, s: int, modulus: tuple[int, ...]):
@@ -93,7 +92,7 @@ class BaseField:
         self.modulus = tuple(modulus)
         if len(self.modulus) != s + 1 or self.modulus[-1] != 1:
             raise ValueError("modulus must be monic of degree s")
-        self._lex = self.exp = self.log = self.zech = None
+        self._lex = self.exp = self.log = self.zech = self.tower = None
         if p == 2:  # an element's bits are its F_2 digits
             self.add = self.sub = operator.xor
             self.neg = operator.pos
@@ -102,7 +101,7 @@ class BaseField:
             g0 = FqPoly(prime, self.modulus)
             if not is_irreducible(g0):
                 raise ValueError("modulus must be irreducible over F_p")
-            tower = FieldTower(prime, g0)
+            tower = self.tower = FieldTower(prime, g0)
             if p != 2:
                 self.add, self.neg, self.sub = tower.add_i, tower.neg_i, tower.sub_i
             self.mul, self.inv = tower.mul_i, tower.inv_i
@@ -164,18 +163,15 @@ class BaseField:
 
 
 def _log_table_arithmetic(tower: FieldTower) -> dict[str, object]:
-    """mul and inv of a small field through exp[i] = gen^i and log = exp^-1, and
-    for odd p also add, sub and neg through the Zech logarithms of gen; with
-    the tables exp, log and zech themselves.
+    """mul and inv of a small field through exp[i] = gen^i and log = exp^-1, with
+    the tables exp, log and, for odd p, the Zech logarithms zech of gen.
 
     exp runs over two periods, so a product reads exp[log a + log b] with no
-    reduction; the tables step by the matrix of multiplication by gen.  With
-    h = (q - 1)/2, gen^h = -1, so -a = exp[log a + h].  The Zech logarithm
-    zech[k] = log(1 + gen^k) makes a sum a product: for a, b != 0,
-    a + b = a (1 + b/a) = exp[log a + zech[log b - log a]], and a - b the same
-    with log b + h.  zech is None at k = h, where 1 + gen^k = 0, and is kept
-    over two periods, so each index these read, in (1 - q, q - 1 + h), is used
-    as it is, negative ones counting from the end.
+    reduction; the tables step by the matrix of multiplication by gen.  The
+    Zech logarithm zech[k] = log(1 + gen^k) makes a sum a product: for a, b != 0,
+    a + b = a (1 + b/a) = exp[log a + zech[log b - log a]].  zech is None at
+    k = (q - 1)/2, where gen^k = -1, and is kept over two periods, so an index
+    in (1 - q, q - 1) is used as it is, negative ones counting from the end.
     """
     m = tower.size - 1
     gen = next(g for g in range(2, tower.size) if tower.is_primitive_i(g))
@@ -200,28 +196,7 @@ def _log_table_arithmetic(tower: FieldTower) -> dict[str, object]:
         return ops
     h = m // 2
     zech = [None if k == h else log[tower.add_i(1, exp[k])] for k in range(m)] * 2
-
-    def add(a: int, b: int) -> int:
-        if not (a and b):
-            return a or b
-        la = log[a]
-        z = zech[log[b] - la]
-        return 0 if z is None else exp[la + z]
-
-    def sub(a: int, b: int) -> int:
-        if not b:
-            return a
-        lb = log[b] + h
-        if not a:
-            return exp[lb]
-        la = log[a]
-        z = zech[lb - la]
-        return 0 if z is None else exp[la + z]
-
-    def neg(a: int) -> int:
-        return exp[log[a] + h] if a else 0
-
-    return ops | {"add": add, "sub": sub, "neg": neg, "zech": zech}
+    return ops | {"zech": zech}
 
 
 def smallest_irreducible(field: BaseField, degree: int) -> FqPoly:
@@ -388,11 +363,11 @@ class FieldTower:
         return self.pow_i(x, -1)
 
     def frob_i(self, x: int, k: int = 1) -> int:
-        """The k-fold q-power Frobenius x^(q^k): entry k*s of the p-power matrices."""
+        """The k-fold q-power Frobenius x^(q^k): the action of the polynomial x^k."""
         k %= self.n
         if k == 0 or x < 2:
             return x
-        return self._combine(self._frobenius_columns()[k * self.s], x)
+        return self._combine(self._action_matrix((0,) * k + (1,)), x)
 
     def frob_table(self, k: int):
         """Full Frobenius lookup list for towers up to _EXP_LOG_BOUND, else None.
@@ -492,27 +467,60 @@ class FieldTower:
             if members:
                 yield j * self.p**h, members
 
-    def _compose(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        """The columns of x -> a(b(x)), for a and b in the layout of _linear."""
-        combine = self._combine
-        return self._linear(lambda x: combine(a, combine(b, x)))
+    # -- the action of F_q[x] ------------------------------------------------------
 
     @_cached_map
-    def _frobenius_columns(self) -> list[tuple[int, ...]]:
-        """cols[k] is the matrix of the p-power Frobenius x -> x^(p^k), k < n*s."""
-        to_p = self._linear(lambda b: self.pow_i(b, self.p))
-        cols = [self._linear(lambda b: b)]
-        while len(cols) < self.n * self.s:
-            cols.append(self._compose(to_p, cols[-1]))
-        return cols
+    def _orbit_columns(self) -> tuple[tuple[int, ...], ...]:
+        """cols[m] is the matrix of g -> g . p^m, g = sum a_i x^i (deg g < n) read as
+        the tower int sum a_i q^i: column i*s + j is (t^j * p^m)^(q^i).
+
+        With m = a*s + b, p^m is t^b u^a, so t^j * p^m is the F_q scalar t^(b + j)
+        at u^a.  The q-power map is F_q-linear, so its conjugates come from the
+        q-power matrix, whose column a*s + b is t^b * (u^a)^q: no entry costs a
+        tower product.
+        """
+        n, s, p, q, pack = self.n, self.s, self.p, self.q, self._pack
+        powers = [self.pow_i(q**a, q) for a in range(n)]
+        to_q = tuple(pack(self.mul_i(p**b, y)) for y in powers for b in range(s))
+
+        def conjugates(v: int) -> list[int]:
+            out = [v]
+            while len(out) < n:
+                out.append(self._combine(to_q, out[-1]))
+            return [pack(w) for w in out]
+
+        # t^k = t^(k//2) * t^(k - k//2) for the 2s - 1 sums k = b + j
+        scalars = [self.base.mul(p ** (k // 2), p ** (k - k // 2)) for k in range(2 * s - 1)]
+        orbits = [[conjugates(c * q**a) for c in scalars] for a in range(n)]
+        return tuple(
+            tuple(orbits[a][b + j][i] for i in range(n) for j in range(s))
+            for a in range(n)
+            for b in range(s)
+        )
+
+    @_cached_map
+    def _action_matrix(self, coeffs: tuple[int, ...]) -> tuple[int, ...]:
+        """A_g, the F_p-matrix of x -> sum a_i x^(q^i), for g = sum a_i x^i.
+
+        x^n acts as 1, so column t applies _orbit_columns()[t] to g mod x^n - 1.
+        """
+        n, add = self.n, self.base.add
+        folded = [0] * n
+        for i, a in enumerate(coeffs):
+            folded[i % n] = add(folded[i % n], a)
+        g, combine, pack = self.from_coeff_vec(folded), self._combine, self._pack
+        return tuple(pack(combine(cols, g)) for cols in self._orbit_columns())
 
     # -- trace -------------------------------------------------------------------
 
     @_cached_map
     def _trace_columns(self) -> tuple[int, ...]:
-        """Tr as an F_p-linear map: the sum of the n*s p-power conjugates."""
-        powers, add_i, combine = self._frobenius_columns(), self.add_i, self._combine
-        return self._linear(lambda b: reduce(add_i, (combine(m, b) for m in powers)))
+        """Tr_{q^n/p}: Tr_{q/p} (identity for s = 1, else F_q's tower trace_i) after
+        Tr_{q^n/q}, the action of 1 + x + ... + x^(n-1)."""
+        cols = self._action_matrix((1,) * self.n)
+        if self.s == 1:
+            return cols
+        return self._linear(lambda b: self.base.tower.trace_i(self._combine(cols, b)))
 
     @_cached_map
     def _trace_gram(self) -> tuple[int, ...]:

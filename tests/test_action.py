@@ -27,8 +27,10 @@ from qorder import (
     phi_q,
     trace_to_prime,
 )
+from qorder.action import _action_matrix
 from qorder.classify import VERIFICATION_GRID
 from qorder.errors import FieldMismatchError
+from qorder.fields import FieldTower
 
 from conftest import tower_and_factors
 from oracles import oracle_apply_action, oracle_fq_order, oracle_is_normal
@@ -259,7 +261,7 @@ def test_adjoint_power_identity_random_f625(xv, data):
 # Towers past _EXP_LOG_BOUND; every tower applies the action as a cached F_p-matrix
 PAST_TABLE_BOUND = [(2, 1, 15), (2, 1, 16), (2, 2, 8), (3, 1, 10), (5, 1, 7), (3, 2, 5)]
 # Real-size towers below it, where the action is the same matrix: odd p packs
-# digits in _combine, and s > 1 reads Frobenius entry k*s
+# digits in _combine, and s > 1 reads F_q scalars off the orbit table
 TABLE_PATH = [(2, 1, 13), (2, 2, 7), (3, 1, 8), (3, 2, 4)]
 
 
@@ -297,7 +299,9 @@ class TestActionPastTableBound:
             const = FqPoly(t.base, (rng.randrange(1, t.q),))
             g = random_poly(rng, t.base, rng.randrange(n + 1))
             h = random_poly(rng, t.base, rng.randrange(1, n + 1), monic=True)
-            for poly in (const, g, h):
+            # past degree n the action folds g mod x^n - 1 first
+            long = random_poly(rng, t.base, rng.randrange(n + 1, 2 * n + 2))
+            for poly in (const, g, h, long):
                 expected = oracle_apply_action(t, poly.coeffs, x.value)
                 assert apply_action(poly, x).value == expected, (str(poly), x.value)
             assert linearized_eval(h, x).value == oracle_apply_action(t, h.coeffs, x.value)
@@ -325,6 +329,27 @@ class TestActionPastTableBound:
         for label in labels:
             chi = AdditiveCharacter(label)
             assert char_order_bruteforce(chi, fp) == char_order_fast(chi, fp), label.value
+
+
+@pytest.mark.parametrize("p,s,n", TABLE_PATH)
+def test_action_matrix_build_multiplies_no_field_elements(p, s, n):
+    # once the orbit table is cached, A_g for a new g is read off it with no
+    # mul_i, pow_i or frob_i, on s = 1 and s > 1 towers alike
+    t = build_tower(p, s, n)
+    t._orbit_columns()
+    rng = random.Random(p * 1000 + s * 100 + n)
+    polys = [random_poly(rng, t.base, degree) for degree in (n - 1, 2 * n + 1)]
+
+    def field_arithmetic(*args):
+        raise AssertionError("an action matrix build multiplied field elements")
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("mul_i", "pow_i", "frob_i"):
+            patch.setattr(FieldTower, name, field_arithmetic)
+        matrices = [_action_matrix(t, g.coeffs) for g in polys]
+    for g, cols in zip(polys, matrices):
+        expected = [t._pack(oracle_apply_action(t, g.coeffs, p**k)) for k in range(n * s)]
+        assert list(cols) == expected, str(g)
 
 
 # Small towers off VERIFICATION_GRID: large p, s up to 4, and n = 11 and 12 over
