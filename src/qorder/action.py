@@ -7,17 +7,17 @@ and the elements of maximal order x^n - 1 are exactly the normal ones.
 
 Each g acts through its F_p-matrix A_g (FieldTower._action_matrix), read off
 the tower's orbit table with no field multiplication and kept once per tower
-and polynomial in the tower's map cache.  Orders are read per
+and polynomial in the tower's map cache.  A query reads an order per
 irreducible factor from the co-divisors (x^n - 1)/P^j, the same for every
-element (see fq_order).  A query applies their action matrices
-(_fq_order_i); a sweep walks each of their kernels once and counts, per
-element, the co-divisors whose kernel holds it (_element_order).
+element, by applying their action matrices (_fq_order_i, see fq_order).  A
+sweep takes the definition instead: each element gets the first divisor, in
+scan order, whose A_g annihilates it, from one kernel walk per proper divisor
+(_element_order, through FieldTower._first_kernel), so the two routes check
+each other.
 """
 
 from __future__ import annotations
 
-from itertools import product
-from math import prod
 from typing import Sequence
 
 from .errors import (
@@ -98,34 +98,13 @@ def _fq_order_i(tower: FieldTower, fp: FactoredPoly, xv: int) -> FqPoly:
     return fp.divisor(tuple(exps))
 
 
-def _element_order(
-    tower: FieldTower, fp: FactoredPoly, divisors: tuple[FqPoly, ...]
-) -> Sequence[int]:
-    """Every element's order as its index in divisors, by one walk per co-divisor kernel.
+def _element_order(tower: FieldTower, divisors: tuple[FqPoly, ...]) -> Sequence[int]:
+    """Every element's order as its index in divisors: the first divisor g, in
+    scan order, whose action matrix A_g annihilates it (FieldTower._first_kernel).
 
-    Orders are coded in mixed radix over the factors' exponents, factor i weighing
-    the product of e_k + 1 over the later factors.  Every element starts at the
-    code of x^n - 1, and each element of ker A_{(x^n - 1)/P_i^j} loses P_i's
-    weight once.  These kernels shrink as j grows, so P_i loses as many as the
-    leading j that _fq_order_i counts.  The codes, then the indices, sit in one
-    array("H"), 2 bytes per element.
+    x^n - 1, the last divisor, annihilates every element, so its kernel is not walked.
     """
-    from array import array  # on the first sweep only: runs without one never load it
-
-    exps = [e for _, e in fp.factors]
-    weights = [prod(e + 1 for e in exps[i + 1 :]) for i in range(len(exps))]
-    codes = array("H", [fp.divisor_count() - 1]) * tower.size
-    for weight, row in zip(weights, fp.codivisors):
-        for g in row:
-            for base, members in tower._kernel_walk(_action_matrix(tower, g.coeffs)):
-                for i in members:
-                    codes[base + i] -= weight
-    position = {g: k for k, g in enumerate(divisors)}
-    index = [position[fp.divisor(c)] for c in product(*(range(e + 1) for e in exps))]
-    for start in range(0, tower.size, 1 << 16):  # in place: no second array is held
-        part = slice(start, start + (1 << 16))
-        codes[part] = array("H", map(index.__getitem__, codes[part]))
-    return codes
+    return tower._first_kernel([_action_matrix(tower, g.coeffs) for g in divisors[:-1]])
 
 
 def _is_normal_i(tower: FieldTower, fp: FactoredPoly, xv: int) -> bool:

@@ -19,7 +19,8 @@ fast path rests on.  One loop, _first_annihilator, scans a label's functional
 over the divisors' point sets: a single query looks each set up when the scan
 reaches it, and an exhaustive sweep resolves every divisor's image once.  A
 basis-mode sweep instead builds the matrix M_g of a -> (Tr(a * (g . p^t)))_t
-entry by entry from the functional, and walks each M_g's kernel once, last
+entry by entry from the functional, and hands them to the fill the element
+sweep uses, FieldTower._first_kernel: it walks each M_g's kernel once, last
 divisor first, so that each label keeps the first divisor in scan order whose
 kernel holds it (_char_order).
 """
@@ -170,27 +171,19 @@ def _char_order(
 ) -> Sequence[int]:
     """Every label's order by the definitional scan, as its index in divisors.
 
-    The indices sit in an array("H"), 2 bytes per label.  check="basis" starts
-    every label at x^n - 1, the last divisor, then writes k over ker
-    M_{divisors[k]} for k from the second-to-last divisor down to 0, so the first
-    divisor in scan order that annihilates a label is written last.
+    The indices sit in an array("H"), 2 bytes per label.  check="basis" takes
+    for each label the first divisor g whose M_g annihilates it, by the fill the
+    element sweep uses (FieldTower._first_kernel) over every divisor but x^n - 1.
     check="exhaustive" resolves every divisor's image once, then runs each
     label's functional through _first_annihilator over that list.
     """
-    from array import array  # on the first sweep only: runs without one never load it
-
     if check == "exhaustive":
+        from array import array  # on the first sweep only: runs without one never load it
+
         images = [_annihilation_points(tower, g.coeffs) for g in divisors]
         scan = (_first_annihilator(tower._functional(v), images) for v in range(tower.size))
         return array("H", scan)
-    last = len(divisors) - 1
-    orders = array("H", [last]) * tower.size
-    for k in reversed(range(last)):
-        matrix = _trace_form_matrix(tower, divisors[k].coeffs)
-        for base, members in tower._kernel_walk(matrix):
-            for i in members:
-                orders[base + i] = k
-    return orders
+    return tower._first_kernel([_trace_form_matrix(tower, g.coeffs) for g in divisors[:-1]])
 
 
 def char_order_bruteforce(

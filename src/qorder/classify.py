@@ -8,9 +8,11 @@ primitive normal elements by exhaustive lexicographic search.
 
 A sweep makes the checks of the per-element functions once, then takes every
 element's order and its character's order as index arrays into the divisors,
-from action._element_order and characters._char_order, which walk each divisor
-kernel once.  A check judges each (element order, character order) index pair
-once, and walks the elements again, in range order, only when a pair fails.
+from action._element_order and characters._char_order.  Both are one fill,
+FieldTower._first_kernel, over the proper divisors' matrices A_g or M_g (the
+exhaustive character check scans images instead).  A check judges each
+(element order, character order) index pair once, and walks the elements
+again, in range order, only when a pair fails.
 Elements and characters are wrapped in FFElement and AdditiveCharacter only
 where a result holds them: partitions, counterexamples, the element found.
 find_primitive_normal, which stops at its first hit, tests as is_normal does.
@@ -83,14 +85,14 @@ def _scan_divisors(
 
 
 def _failures(
-    tower: FieldTower, fp: FactoredPoly, divisors: tuple[FqPoly, ...], check: str, fails
+    tower: FieldTower, divisors: tuple[FqPoly, ...], check: str, fails
 ) -> Iterator[tuple[int, int, int]]:
     """(v, m, c) in range order for each element v whose index pair fails.
 
     m and c index v's order and its character's definitional order in divisors;
     fails(m, c) judges each pair once, and only a failing pair walks the elements.
     """
-    elements = _element_order(tower, fp, divisors)
+    elements = _element_order(tower, divisors)
     chars = _char_order(tower, divisors, check)
     failing = {pair for pair in set(zip(elements, chars)) if fails(*pair)}
     if failing:
@@ -112,7 +114,7 @@ def elements_by_order(
     _check_sweep(tower, fp, size_bound)
     divisors = divisors_of_xn_minus_1(fp)
     parts: list[set[FFElement]] = [set() for _ in divisors]
-    for v, k in enumerate(_element_order(tower, fp, divisors)):
+    for v, k in enumerate(_element_order(tower, divisors)):
         parts[k].add(FFElement(tower, v))
     return dict(zip(divisors, parts))
 
@@ -176,7 +178,7 @@ def orders_coincide_iff_self_reciprocal(
     divisors = _scan_divisors(tower, fp, check, size_bound)
     self_reciprocal = [is_self_reciprocal(g) for g in divisors]
     fails = lambda m, c: (c == m) != self_reciprocal[m]
-    for v, m, c in _failures(tower, fp, divisors, check, fails):
+    for v, m, c in _failures(tower, divisors, check, fails):
         x = FFElement(tower, v)
         return CoincidenceCheck(holds=False, counterexample=(x, divisors[m], divisors[c]))
     return CoincidenceCheck(holds=True, counterexample=None)
@@ -212,7 +214,7 @@ def reciprocal_order_sweep(
     divisors = _scan_divisors(tower, fp, check, size_bound)
     reciprocal = [monic_reciprocal(g) for g in divisors]
     fails = lambda m, c: divisors[c] != reciprocal[m]
-    failures = _failures(tower, fp, divisors, check, fails)
+    failures = _failures(tower, divisors, check, fails)
     return ReciprocalOrderSweep(
         p=tower.p,
         s=tower.s,
@@ -367,7 +369,7 @@ def classification_report(
     else:
         _check_sweep(tower, fp, size_bound)
         divisors = divisors_of_xn_minus_1(fp)
-    elements = Counter(_element_order(tower, fp, divisors))
+    elements = Counter(_element_order(tower, divisors))
     element_counts = Counter({divisors[k]: count for k, count in elements.items()})
     if mode == "oracle":
         char_counts = Counter({divisors[k]: count for k, count in chars.items()})

@@ -32,6 +32,8 @@ _action_matrix read off one per-tower table, _orbit_columns.  A sweep over the
 whole field needs each divisor matrix only through its kernel: _kernel_walk
 yields it row by row from the spans of the matrix's low and negated high
 columns, about 2 p^ceil(n*s/2) points, so a sweep touches each kernel element once.
+_first_kernel, the one fill of both order sweeps, walks a list of matrices last
+to first and leaves each point the index of the first whose kernel holds it.
 """
 
 from __future__ import annotations
@@ -453,19 +455,37 @@ class FieldTower:
         A i = -A (j*B), i and j*B being x's low and high base-p digits.  The low
         images A i, i < B, are the span of A's first h columns, grouped by value
         once; row j reads its members from the group of -A (j*B), entry j of the
-        span of -A's other columns.  Only B low indices are held and the kernel
-        is never built, which suits sweeps over the whole field (the table method
-        of Arlazarov, Dinic, Kronrod and Faradzev, 1970).
+        span of -A's other n*s - h columns, the only ones negated.  Only B low
+        indices are held and the kernel is never built, which suits sweeps over
+        the whole field (the table method of Arlazarov, Dinic, Kronrod and
+        Faradzev, 1970).
         """
-        h = self.n * self.s // 2
-        negated = self._linear(lambda b: self.neg_i(self._combine(cols, b)))
+        p, h = self.p, self.n * self.s // 2
+        high = range(h, len(cols))
+        negated = [self._pack(self.neg_i(self._combine(cols, p**t))) for t in high]
         groups: dict[int, list[int]] = {}
         for i, image in enumerate(self._span(cols[:h])):
             groups.setdefault(image, []).append(i)
-        for j, key in enumerate(self._span(negated[h:])):
+        for j, key in enumerate(self._span(negated)):
             members = groups.get(key)
             if members:
-                yield j * self.p**h, members
+                yield j * p**h, members
+
+    def _first_kernel(self, matrices: Sequence[tuple[int, ...]]) -> Sequence[int]:
+        """For each point, the index of the first of matrices whose kernel holds it,
+        or len(matrices) where none does, in an array("H") of 2 bytes per point.
+
+        Each kernel is walked once, last matrix first, and writes its index over
+        its members, so the first matrix whose kernel holds a point writes last.
+        """
+        from array import array  # on the first sweep only: runs without one never load it
+
+        first = array("H", [len(matrices)]) * self.size
+        for k in reversed(range(len(matrices))):
+            for base, members in self._kernel_walk(matrices[k]):
+                for i in members:
+                    first[base + i] = k
+        return first
 
     # -- the action of F_q[x] ------------------------------------------------------
 

@@ -523,8 +523,9 @@ def test_kernel_tables_match_combine(p, s, n):
 @pytest.mark.parametrize("p,s,n", KERNEL_TABLE_FIELDS)
 def test_sweeps_combine_only_to_negate_the_walked_matrices(p, s, n, monkeypatch):
     # once G, every A_g and every M_g are cached, the sweeps apply a matrix with
-    # _combine only for the n*s negated columns of each matrix they walk: the low
-    # images and the row keys of a walk are spans, not one product per point
+    # _combine only to negate the n*s - floor(n*s/2) high columns of each matrix
+    # they walk, the only ones the row keys read: the low images and the row keys
+    # of a walk are spans, not one product per point
     t, fp = tower_and_factors(p, s, n)
     t._trace_gram()
     for g in divisors_of_xn_minus_1(fp):
@@ -548,7 +549,7 @@ def test_sweeps_combine_only_to_negate_the_walked_matrices(p, s, n, monkeypatch)
     monkeypatch.setattr(FieldTower, "_kernel_walk", counted_walk)
     assert sweeps() == expected
     assert walked and set(applied) <= set(walked)
-    assert len(applied) <= n * s * len(walked)
+    assert len(applied) <= (n * s - n * s // 2) * len(walked)
 
 
 @pytest.mark.parametrize("corrupt", ["action", "trace form"])
@@ -588,23 +589,23 @@ def test_corrupted_kernel_table_shows_in_the_sweeps(p, s, n, corrupt, monkeypatc
     assert [x for x, _, _ in sweep.mismatches] == [elements[0]]
 
 
-@pytest.mark.parametrize("n,codivisors", [(7, 3), (12, 8)])
-def test_element_sweep_builds_tables_for_the_codivisors_only(n, codivisors, monkeypatch):
+@pytest.mark.parametrize("n,walks", [(7, 7), (12, 24)])
+def test_element_sweep_walks_every_proper_divisor_last_first(n, walks, monkeypatch):
     # x^7 - 1 has three distinct factors and x^12 - 1 = (x + 1)^4 (x^2 + x + 1)^4;
-    # element orders need only the co-divisors (x^n - 1)/P^j, one kernel walk
-    # each, not all 7 or 24 proper divisors
+    # element orders walk the kernel of A_g once for each of the 7 or 24 proper
+    # divisors g, last divisor first, and x^n - 1 not at all
     t, fp = tower_and_factors(2, 1, n)
-    assert sum(e for _, e in fp.factors) == codivisors
-    walk, built = FieldTower._kernel_walk, []
+    divisors = divisors_of_xn_minus_1(fp)
+    walk, walked = FieldTower._kernel_walk, []
 
     def counted(self, cols):
-        built.append(cols)
+        walked.append(cols)
         return walk(self, cols)
 
     monkeypatch.setattr(FieldTower, "_kernel_walk", counted)
     partition = elements_by_order(t, fp)
-    assert len(built) == codivisors
-    assert built == [_action_matrix(t, g.coeffs) for row in fp.codivisors for g in row]
+    assert len(walked) == walks
+    assert walked == [_action_matrix(t, g.coeffs) for g in reversed(divisors[:-1])]
     assert {f: len(xs) for f, xs in partition.items()} == dict(divisor_phi_table(fp))
 
 
@@ -614,7 +615,8 @@ def test_element_sweep_builds_tables_for_the_codivisors_only(n, codivisors, monk
 def test_sweeps_match_per_element_routes(p, s, n):
     # element by element, the kernel-walking sweeps against fq_order and
     # char_order_bruteforce; F_{2^11} and F_{3^7} split n*s unevenly, and over F_2
-    # x^12 - 1 = (x + 1)^4 (x^2 + x + 1)^4 gives x + 1 the mixed-radix weight 5
+    # x^12 - 1 = (x + 1)^4 (x^2 + x + 1)^4 has 24 proper divisors, while fq_order
+    # counts on its 8 co-divisors (x^12 - 1)/P^j
     t, fp = tower_and_factors(p, s, n)
     elements = [FFElement(t, v) for v in range(t.size)]
     order = {x: fq_order(x, fp) for x in elements}
@@ -644,17 +646,22 @@ def test_sweeps_match_per_element_routes(p, s, n):
 
 @pytest.mark.parametrize("p,s,n", [(2, 1, 6), (3, 1, 4), (2, 2, 3)])
 def test_label_in_several_kernels_gets_the_first_divisor(p, s, n):
-    # the basis sweep writes each M_g's kernel over the labels, last divisor
-    # first: a label in several kernels, 0 in all of them, keeps the first
-    # divisor in scan order; both sweeps hold at most 2 bytes per element
+    # both sweeps write each proper divisor's kernel over the points, last divisor
+    # first, for A_g (element orders) and M_g (character orders) alike: a point in
+    # several kernels, 0 in all of them, keeps the first divisor in scan order;
+    # both sweeps hold at most 2 bytes per element
     t, fp = tower_and_factors(p, s, n)
     divisors = divisors_of_xn_minus_1(fp)
-    matrices = [_trace_form_matrix(t, g.coeffs) for g in divisors]
-    kernels = [
-        [k for k, m in enumerate(matrices) if not t._combine(m, v)] for v in range(t.size)
-    ]
-    assert kernels[0] == list(range(len(divisors)))
-    assert any(len(ks) > 2 for ks in kernels[1:])
-    orders = _char_order(t, divisors, "basis")
-    assert list(orders) == [ks[0] for ks in kernels]
-    assert orders.itemsize <= 2 and _element_order(t, fp, divisors).itemsize <= 2
+    sweeps = {
+        _action_matrix: _element_order(t, divisors),
+        _trace_form_matrix: _char_order(t, divisors, "basis"),
+    }
+    for kind, orders in sweeps.items():
+        matrices = [kind(t, g.coeffs) for g in divisors]
+        kernels = [
+            [k for k, m in enumerate(matrices) if not t._combine(m, v)] for v in range(t.size)
+        ]
+        assert kernels[0] == list(range(len(divisors)))
+        assert any(len(ks) > 2 for ks in kernels[1:]), kind.__name__
+        assert list(orders) == [ks[0] for ks in kernels], kind.__name__
+        assert orders.itemsize <= 2
