@@ -43,7 +43,7 @@ _action_matrix = FieldTower._action_matrix
 
 def _apply_i(tower: FieldTower, coeffs: tuple[int, ...], xv: int) -> int:
     """Integer-encoded action: sum of a_i * x^(q^i)."""
-    return tower._combine(_action_matrix(tower, coeffs), xv)
+    return tower._unpack(tower._combine(_action_matrix(tower, coeffs), tower._pack(xv)))
 
 
 def apply_action(g: FqPoly, x: FFElement) -> FFElement:
@@ -88,10 +88,10 @@ def adjoint_action(g: FqPoly, x: FFElement) -> FFElement:
 
 def _fq_order_i(tower: FieldTower, fp: FactoredPoly, xv: int) -> FqPoly:
     """fq_order on a value, through the co-divisors' cached action matrices."""
-    exps = []
+    x, exps = tower._pack(xv), []
     for (_, e), row in zip(fp.factors, fp.codivisors):
         for g in row:
-            if _apply_i(tower, g.coeffs, xv):
+            if tower._combine(_action_matrix(tower, g.coeffs), x):
                 break
             e -= 1
         exps.append(e)
@@ -109,7 +109,8 @@ def _element_order(tower: FieldTower, divisors: tuple[FqPoly, ...]) -> Sequence[
 
 def _is_normal_i(tower: FieldTower, fp: FactoredPoly, xv: int) -> bool:
     """is_normal on a value: no (x^n - 1)/P annihilates xv, for P | x^n - 1 irreducible."""
-    return all(_apply_i(tower, row[0].coeffs, xv) for row in fp.codivisors)
+    x = tower._pack(xv)
+    return all(tower._combine(_action_matrix(tower, row[0].coeffs), x) for row in fp.codivisors)
 
 
 def fq_order(x: FFElement, fp: FactoredPoly) -> FqPoly:

@@ -9,7 +9,7 @@ definitional divisor scan (the oracle) and by the coefficient-reversal
 fast path through the label's element order.
 
 Every character value is read from one F_p-linear functional: Tr(a * v) is
-the dot product of v's base-p digits with those of u = G a, for the trace Gram
+the dot product of the packed v with the packed u = G a, for the trace Gram
 matrix G (FieldTower._functional).  The scan tests g . chi = 1 for each divisor
 g by that functional vanishing on the n*s columns g . p^t of the action matrix
 A_g (basis mode), since the trace form is bilinear, or on every distinct value

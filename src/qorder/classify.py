@@ -29,7 +29,7 @@ from .action import _check_coeff_field, _element_order, _is_normal_i
 from .characters import AdditiveCharacter, _char_order, _check_mode
 from .errors import PrimitiveNormalNotFoundError, SizeExceededError, ZeroElementError
 from .fields import DEFAULT_SIZE_BOUND, FFElement, FieldTower, base_field
-from .integers import factorize, prime_power_decomposition
+from .integers import _p_part, factorize, prime_power_decomposition
 from .poly import (
     FactoredPoly,
     FqPoly,
@@ -273,10 +273,7 @@ def meyn_sweep(q: int, ns: Iterable[int], *, seed: int = 0) -> list[MeynVerdict]
     for n in ns:
         fp = _factor_xn_minus_1(n, field, parts, rng)  # raises for n < 1
         all_sr = all(is_self_reciprocal(g) for g, _ in fp.factors)
-        u, v = 0, n
-        while v % p == 0:
-            v //= p
-            u += 1
+        u, v = _p_part(n, p)
         witness = next((j for j in range(1, v + 1) if pow(q, j, v) == (v - 1) % v), None)
         verdicts.append(MeynVerdict(q, n, u, v, witness is not None, witness, all_sr))
     return verdicts

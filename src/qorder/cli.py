@@ -468,8 +468,8 @@ def _resolve_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -
             flag = "a label" if dest == "label" else "--" + dest.replace("_", "-")
             if (command, dest) == ("corollary2", "n"):
                 flag += "; use --n-max"
-            elif args.grid and dest in ("p", "s", "n"):
-                flag += " with --grid"
+            elif dest in _READS[command]:  # dropped above for --grid or --mode fast
+                flag += " with --mode fast" if dest == "check" else " with --grid"
             raise ParseError(f"{command} does not accept {flag}")
     if args.n_max is not None and args.n_max < 1:
         raise ParseError(f"--n-max must be at least 1, got {args.n_max}")

@@ -23,17 +23,19 @@ coefficient operation of F_q[x] and of every tower over F_q goes through, read
 the same tables (and for odd p Zech logarithms) inline.  Under + F_{q^n} is
 F_p^(n*s): XOR for p = 2, residues mod p in F_p, one loop over base-p digits in
 odd-p towers.  F_p-linear maps (Frobenius, the trace, the trace form's Gram
-matrix, and the matrices of action.py and characters.py) share one column
-layout, fixed per tower: _linear builds, _combine applies, _span lists the
-packed images of a range of points, _functional reads the trace form on packed
-points, and _cached_map keeps each map in the tower's one cache.  Each map
-x -> sum a_i x^(q^i), Frobenius powers and the trace among them, is an
-_action_matrix read off one per-tower table, _orbit_columns.  A sweep over the
-whole field needs each divisor matrix only through its kernel: _kernel_walk
-yields it row by row from the spans of the matrix's low and negated high
-columns, about 2 p^ceil(n*s/2) points, so a sweep touches each kernel element once.
-_first_kernel, the one fill of both order sweeps, walks a list of matrices last
-to first and leaves each point the index of the first whose kernel holds it.
+matrix, and the matrices of action.py and characters.py) take and return one
+packed layout per tower, base-p digit t in field t, which element ints enter
+only at _pack and leave only at _unpack: _linear builds a map, _combine maps a
+packed vector to its packed image, _span lists the images of a range of points,
+_functional reads the trace form, and _cached_map keeps each map in the tower's
+one cache.  Each map x -> sum a_i x^(q^i), Frobenius powers and the trace among
+them, is an _action_matrix read off one per-tower table, _orbit_columns.  A
+sweep over the whole field needs each divisor matrix only through its kernel:
+_kernel_walk yields it row by row from the spans of the matrix's low and negated
+high columns, about 2 p^ceil(n*s/2) points, so a sweep touches each kernel
+element once.  _first_kernel, the one fill of both order sweeps, walks a list of
+matrices last to first and leaves each point the index of the first whose kernel
+holds it.
 """
 
 from __future__ import annotations
@@ -169,7 +171,7 @@ def _log_table_arithmetic(tower: FieldTower) -> dict[str, object]:
     the tables exp, log and, for odd p, the Zech logarithms zech of gen.
 
     exp runs over two periods, so a product reads exp[log a + log b] with no
-    reduction; the tables step by the matrix of multiplication by gen.  The
+    reduction; the tables step by times_gen[x] = gen * x, one _span for all x.  The
     Zech logarithm zech[k] = log(1 + gen^k) makes a sum a product: for a, b != 0,
     a + b = a (1 + b/a) = exp[log a + zech[log b - log a]].  zech is None at
     k = (q - 1)/2, where gen^k = -1, and is kept over two periods, so an index
@@ -177,13 +179,13 @@ def _log_table_arithmetic(tower: FieldTower) -> dict[str, object]:
     """
     m = tower.size - 1
     gen = next(g for g in range(2, tower.size) if tower.is_primitive_i(g))
-    combine, times_gen = tower._combine, tower._linear(lambda b: tower.mul_i(b, gen))
+    times_gen = list(map(tower._unpack, tower._span(tower._linear(lambda b: tower.mul_i(b, gen)))))
     exp, log = [1] * (2 * m), [0] * tower.size
     acc = 1
     for i in range(m):
         exp[i] = exp[i + m] = acc
         log[acc] = i
-        acc = combine(times_gen, acc)
+        acc = times_gen[acc]
 
     def mul(a: int, b: int) -> int:
         return exp[log[a] + log[b]] if a and b else 0
@@ -369,7 +371,7 @@ class FieldTower:
         k %= self.n
         if k == 0 or x < 2:
             return x
-        return self._combine(self._action_matrix((0,) * k + (1,)), x)
+        return self._unpack(self._combine(self._action_matrix((0,) * k + (1,)), self._pack(x)))
 
     def frob_table(self, k: int):
         """Full Frobenius lookup list for towers up to _EXP_LOG_BOUND, else None.
@@ -383,44 +385,48 @@ class FieldTower:
     # -- F_p-linear maps -----------------------------------------------------------
 
     def _linear(self, f: Callable[[int], int]) -> tuple[int, ...]:
-        """The columns of the F_p-linear map f: its images of the basis p^t, t < n*s.
-
-        Each image is packed (_pack), so that _combine scales and adds a whole
-        column with one int multiply-add.
-        """
+        """The columns of the F_p-linear map f on element ints: f(p^t), t < n*s, packed."""
         p, pack = self.p, self._pack
         return tuple(pack(f(p**t)) for t in range(self.n * self.s))
 
     def _pack(self, v: int) -> int:
-        """v with base-p digit t moved to field t of _width bits (v itself for p = 2)."""
+        """v < q^n with base-p digit t moved to field t of _width bits (v itself for p = 2)."""
         p, w = self.p, self._width
         if p == 2:
             return v
-        packed = shift = 0
-        while v:
+        packed = 0
+        for shift in range(0, w * self.n * self.s, w):
             v, d = divmod(v, p)
             packed |= d << shift
-            shift += w
         return packed
 
+    def _unpack(self, v: int) -> int:
+        """The element int whose base-p digit t is field t of the packed v: _pack^-1."""
+        p, w = self.p, self._width
+        if p == 2:
+            return v
+        mask, value = (1 << w) - 1, 0
+        for shift in range((v.bit_length() - 1) // w * w, -1, -w):
+            value = value * p + (v >> shift & mask)
+        return value
+
     def _combine(self, cols: tuple[int, ...], x: int) -> int:
-        """Apply the map with columns cols (from _linear) to x."""
-        acc, p = 0, self.p
+        """The packed image of the packed x under the map cols: field t of x scales
+        column t, one int multiply-add each, then each field of the sum is taken mod p."""
+        acc, p, w = 0, self.p, self._width
         if p == 2:  # the columns picked by the bits of x
             while x:
                 low = x & -x
                 acc ^= cols[low.bit_length() - 1]
                 x ^= low
             return acc
+        mask, out = (1 << w) - 1, 0
         for col in cols:
-            x, d = divmod(x, p)
-            acc += d * col
-        w = self._width
-        mask = (1 << w) - 1
-        value = 0
-        for shift in range(w * (len(cols) - 1), -1, -w):
-            value = value * p + (acc >> shift & mask) % p
-        return value
+            acc += (x & mask) * col
+            x >>= w
+        for shift in range((acc.bit_length() - 1) // w * w, -1, -w):
+            out = out << w | (acc >> shift & mask) % p
+        return out
 
     def _span(self, cols: Sequence[int], points: Iterable[int] = (0,)) -> list[int]:
         """points, then each point plus every nonzero F_p-combination of cols, packed.
@@ -461,8 +467,7 @@ class FieldTower:
         Faradzev, 1970).
         """
         p, h = self.p, self.n * self.s // 2
-        high = range(h, len(cols))
-        negated = [self._pack(self.neg_i(self._combine(cols, p**t))) for t in high]
+        negated = [self._combine(cols, (p - 1) << self._width * t) for t in range(h, len(cols))]
         groups: dict[int, list[int]] = {}
         for i, image in enumerate(self._span(cols[:h])):
             groups.setdefault(image, []).append(i)
@@ -504,10 +509,10 @@ class FieldTower:
         to_q = tuple(pack(self.mul_i(p**b, y)) for y in powers for b in range(s))
 
         def conjugates(v: int) -> list[int]:
-            out = [v]
+            out = [pack(v)]
             while len(out) < n:
                 out.append(self._combine(to_q, out[-1]))
-            return [pack(w) for w in out]
+            return out
 
         # t^k = t^(k//2) * t^(k - k//2) for the 2s - 1 sums k = b + j
         scalars = [self.base.mul(p ** (k // 2), p ** (k - k // 2)) for k in range(2 * s - 1)]
@@ -528,8 +533,8 @@ class FieldTower:
         folded = [0] * n
         for i, a in enumerate(coeffs):
             folded[i % n] = add(folded[i % n], a)
-        g, combine, pack = self.from_coeff_vec(folded), self._combine, self._pack
-        return tuple(pack(combine(cols, g)) for cols in self._orbit_columns())
+        g, combine = self._pack(self.from_coeff_vec(folded)), self._combine
+        return tuple(combine(cols, g) for cols in self._orbit_columns())
 
     # -- trace -------------------------------------------------------------------
 
@@ -538,39 +543,33 @@ class FieldTower:
         """Tr_{q^n/p}: Tr_{q/p} (identity for s = 1, else F_q's tower trace_i) after
         Tr_{q^n/q}, the action of 1 + x + ... + x^(n-1)."""
         cols = self._action_matrix((1,) * self.n)
-        if self.s == 1:
-            return cols
-        return self._linear(lambda b: self.base.tower.trace_i(self._combine(cols, b)))
+        return cols if self.s == 1 else tuple(map(self.base.tower.trace_i, map(self._unpack, cols)))
 
     @_cached_map
     def _trace_gram(self) -> tuple[int, ...]:
-        """The trace form's Gram matrix Tr(p^i * p^j), i, j < n*s: x -> (Tr(p^i * x))_i."""
-        trace_i, mul_i = self.trace_i, self.mul_i
+        """The trace form's Gram matrix: x -> (Tr(p^i * x))_i, i < n*s, with
+        Tr(p^i * x) in field i for p = 2 and in field n*s - 1 - i for odd p."""
         basis = [self.p**i for i in range(self.n * self.s)]
-        return self._linear(lambda b: sum(trace_i(mul_i(e, b)) * e for e in basis))
+        at = list(zip(basis, basis if self.p == 2 else basis[::-1]))
+        return self._linear(lambda b: sum(self.trace_i(self.mul_i(e, b)) * f for e, f in at))
 
     def _functional(self, lab: int) -> Callable[[int], int]:
         """v -> Tr(lab * v), the exponent of chi_lab at v, on v packed by _pack.
 
-        Digit t of u = G lab is Tr(p^t * lab), so Tr(lab * v) = sum_t u_t v_t mod p:
-        for p = 2 the parity of u & v.  For odd p, u's digits packed highest first
-        against v's lowest first put that sum in field n*s - 1 of one int product,
-        below 2^_width, and no carry crosses fields.
+        u = G lab holds Tr(p^t * lab) (_trace_gram), and Tr(lab * v) = sum_t of it
+        times v_t mod p: for p = 2 the parity of u & v.  For odd p, u's fields run
+        highest first, so u * v holds the sum in field n*s - 1, below 2^_width.
         """
-        p, u = self.p, self._combine(self._trace_gram(), lab)
+        p, u = self.p, self._combine(self._trace_gram(), self._pack(lab))
         if p == 2:
             return lambda v: (u & v).bit_count() & 1
-        w, digits = self._width, self.n * self.s
-        packed = 0
-        for _ in range(digits):
-            u, d = divmod(u, p)
-            packed = packed << w | d
-        top, mask = w * (digits - 1), (1 << w) - 1
-        return lambda v: (packed * v >> top & mask) % p
+        top, mask = self._width * (self.n * self.s - 1), (1 << self._width) - 1
+        return lambda v: (u * v >> top & mask) % p
 
     def trace_i(self, x: int) -> int:
-        """Tr_{q^n/p}(x) = sum of the n*s p-power conjugates, as a residue mod p."""
-        return self._combine(self._trace_columns(), x)
+        """Tr_{q^n/p}(x) = sum of the n*s p-power conjugates, as a residue mod p: the
+        image sits in field 0, so the packed image is the residue itself."""
+        return self._combine(self._trace_columns(), self._pack(x))
 
     def is_primitive_i(self, x: int) -> bool:
         """True iff x generates the multiplicative group.

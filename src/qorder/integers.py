@@ -25,11 +25,7 @@ def is_prime(n: int) -> bool:
     for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
+    r, d = _p_part(n - 1, 2)
     for a in _MR_WITNESSES:
         x = pow(a, d, n)
         if x in (1, n - 1):
@@ -61,6 +57,14 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     if n > 1:
         out.append((n, 1))
     return tuple(out)
+
+
+def _p_part(n: int, p: int) -> tuple[int, int]:
+    """(u, v) with n = p^u * v and v prime to p, for n >= 1."""
+    u = 0
+    while n % p == 0:
+        n, u = n // p, u + 1
+    return u, n
 
 
 def prime_factors(n: int) -> tuple[int, ...]:

@@ -40,6 +40,7 @@ from .errors import (
     SizeExceededError,
     ZeroConstantTermError,
 )
+from .integers import _p_part
 
 if TYPE_CHECKING:
     from .fields import BaseField
@@ -692,10 +693,7 @@ def _factor_xn_minus_1(
     if n < 1:
         raise ValueError("n must be positive")
     p, q = field.p, field.size
-    u, v = 0, n
-    while v % p == 0:
-        v //= p
-        u += 1
+    u, v = _p_part(n, p)
     irreducibles = []
     for d in (d for d in range(1, v + 1) if v % d == 0):
         if d not in parts:

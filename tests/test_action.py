@@ -260,8 +260,9 @@ def test_adjoint_power_identity_random_f625(xv, data):
 
 # Towers past _EXP_LOG_BOUND; every tower applies the action as a cached F_p-matrix
 PAST_TABLE_BOUND = [(2, 1, 15), (2, 1, 16), (2, 2, 8), (3, 1, 10), (5, 1, 7), (3, 2, 5)]
-# Real-size towers below it, where the action is the same matrix: odd p packs
-# digits in _combine, and s > 1 reads F_q scalars off the orbit table
+# Real-size towers below it, where the action is the same matrix: odd p applies it
+# to packed vectors (_pack in, _unpack out), and s > 1 reads F_q scalars off the
+# orbit table
 TABLE_PATH = [(2, 1, 13), (2, 2, 7), (3, 1, 8), (3, 2, 4)]
 
 

@@ -497,7 +497,7 @@ def test_span_matches_combine(p, s, n):
     for g in divisors_of_xn_minus_1(fp):
         for cols in (_action_matrix(t, g.coeffs), _trace_form_matrix(t, g.coeffs)):
             span = t._span(cols)
-            assert span == [t._pack(t._combine(cols, i)) for i in range(p ** len(cols))]
+            assert span == [t._combine(cols, t._pack(i)) for i in range(p ** len(cols))]
             h = len(cols) // 2
             assert t._span(cols[h:], t._span(cols[:h])) == span, str(g)
 
@@ -516,7 +516,7 @@ def test_kernel_tables_match_combine(p, s, n):
             assert all(0 <= i < half for _, members in rows for i in members)
             walked = {base + i for base, members in rows for i in members}
             members = [x in walked for x in range(t.size)]
-            assert members == [t._combine(cols, x) == 0 for x in range(t.size)]
+            assert members == [t._combine(cols, t._pack(x)) == 0 for x in range(t.size)]
             assert sum(len(m) for _, m in rows) == sum(members) == t.q**g.degree, str(g)
 
 
@@ -659,7 +659,8 @@ def test_label_in_several_kernels_gets_the_first_divisor(p, s, n):
     for kind, orders in sweeps.items():
         matrices = [kind(t, g.coeffs) for g in divisors]
         kernels = [
-            [k for k, m in enumerate(matrices) if not t._combine(m, v)] for v in range(t.size)
+            [k for k, m in enumerate(matrices) if not t._combine(m, t._pack(v))]
+            for v in range(t.size)
         ]
         assert kernels[0] == list(range(len(divisors)))
         assert any(len(ks) > 2 for ks in kernels[1:]), kind.__name__

@@ -278,9 +278,11 @@ class TestConfigPlumbing:
         ],
     )
     def test_check_rejected_where_ignored(self, capsys, argv):
+        # orders and char-order read --check except under --mode fast, and say so
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert f"error: {argv[0]} does not accept --check" in err
+        assert ("with --mode fast" in err) == ("fast" in argv)
         assert out == ""
 
     @pytest.mark.parametrize(

@@ -491,17 +491,22 @@ class TestKernelPastTableBound:
 
     @pytest.mark.parametrize("p,s,n", [*PAST_TABLE_BOUND, (2, 1, 13)])
     def test_trace_gram_matches_oracle(self, p, s, n):
-        # entry (i, j) is Tr(p^i * p^j); the trace form is symmetric, so G = G^T
+        # entry (i, j) is Tr(p^i * p^j), in field i of column j for p = 2 and in
+        # field n*s - 1 - i for odd p; the trace form is symmetric, so G = G^T
         t = build_tower(p, s, n)
         gram = t._trace_gram()
-        columns = [t._combine(gram, p**j) for j in range(n * s)]
+        columns = [t._unpack(t._combine(gram, t._pack(p**j))) for j in range(n * s)]
+
+        def entry(i, j):
+            return columns[j] // p ** (i if p == 2 else n * s - 1 - i) % p
+
         for i, j in itertools.combinations(range(n * s), 2):
-            assert columns[j] // p**i % p == columns[i] // p**j % p, (i, j)
+            assert entry(i, j) == entry(j, i), (i, j)
         rng = random.Random(p * 1000 + s * 100 + n)
         for _ in range(4):
             i, j = rng.randrange(n * s), rng.randrange(n * s)
             product = FFElement(t, oracle_tower_mul(t, p**i, p**j))
-            assert t._combine(gram, p**j) // p**i % p == oracle_trace(product), (i, j)
+            assert entry(i, j) == oracle_trace(product), (i, j)
 
     @pytest.mark.parametrize("p,s,n", [*PAST_TABLE_BOUND, (2, 1, 13)])
     def test_multiplication_matches_oracle(self, p, s, n):
@@ -513,6 +518,41 @@ class TestKernelPastTableBound:
         pairs += [(rng.randrange(t.size), rng.randrange(t.size)) for _ in range(30)]
         for a, b in pairs:
             assert t.mul_i(a, b) == oracle_tower_mul(t, a, b), (a, b)
+
+
+class TestPackedLayout:
+    """Every matrix of a tower takes and returns packed vectors; element ints cross
+    that layout only at _pack and _unpack."""
+
+    @pytest.mark.parametrize("p,s,n", [(2, 1, 5), (3, 1, 4), (3, 2, 2), (5, 1, 3)])
+    def test_unpack_inverts_pack_on_every_element(self, p, s, n):
+        t = build_tower(p, s, n)
+        assert [t._unpack(t._pack(v)) for v in range(t.size)] == list(range(t.size))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_unpack_inverts_pack_sampled_at_a_large_prime(self, n):
+        p = 2305843009213693951  # 2^61 - 1: each field holds a sum of products near 2^122
+        t = build_tower(p, 1, n, size_bound=p**n)
+        rng = random.Random(n)
+        for v in [0, 1, p - 1, t.size - 1, *(rng.randrange(t.size) for _ in range(200))]:
+            assert t._unpack(t._pack(v)) == v, v
+
+    @pytest.mark.parametrize("p,s,n", [(3, 1, 4), (3, 2, 2), (5, 1, 3), (7, 1, 3), (3, 1, 10)])
+    def test_combine_reduces_every_field(self, p, s, n):
+        # random packed inputs through the Gram matrix, the trace and action matrices:
+        # every field of the image is below p, and nothing is set above the n*s fields
+        t = build_tower(p, s, n)
+        w, digits = t._width, n * s
+        rng = random.Random(p * 100 + s * 10 + n)
+        matrices = [t._trace_gram(), t._trace_columns(), t._action_matrix((0, 1))]
+        for _ in range(4):
+            matrices.append(t._action_matrix(tuple(rng.randrange(t.q) for _ in range(n + 2))))
+        for cols in matrices:
+            for _ in range(25):
+                x = sum(rng.randrange(p) << w * k for k in range(digits))
+                image = t._combine(cols, x)
+                assert image >> w * digits == 0, (x, image)
+                assert all(image >> w * k & (1 << w) - 1 < p for k in range(digits)), (x, image)
 
 
 class TestTowerAddition:

@@ -29,7 +29,7 @@ from qorder import (
 )
 from qorder.classify import MEYN_SWEEP_PRIME_POWERS
 from qorder.errors import FieldMismatchError, ParseError
-from qorder.integers import prime_power_decomposition
+from qorder.integers import _p_part, prime_power_decomposition
 from qorder.fields import _EXP_LOG_BOUND
 from qorder.poly import (
     _clmul,
@@ -504,6 +504,14 @@ class TestFactorXnMinus1:
             assert sorted(expanded, key=poly_sort_key) == oracle_factor(
                 FqPoly.x_pow_minus_one(field, n)
             )
+
+    def test_p_part_splits_off_the_prime_power(self):
+        # n = p^u * v with p not dividing v: the split both factor_xn_minus_1 and
+        # the Meyn sweep start from, and Miller-Rabin's n - 1 = 2^r * d
+        for p in (2, 3, 5, 7):
+            for n in range(1, 300):
+                u, v = _p_part(n, p)
+                assert p**u * v == n and v % p, (p, n)
 
     def test_product_and_multiplicities(self):
         for field, n in [(F2, 12), (F3, 9), (F4, 6), (F5, 10)]:
