@@ -15,14 +15,15 @@ g by that functional vanishing on the n*s columns g . p^t of the action matrix
 A_g (basis mode), since the trace form is bilinear, or on every distinct value
 v = g . x, the image of A_g (exhaustive mode), the F_p-span of those columns
 (_annihilation_points).  Neither mode uses the reciprocal relation that the
-fast path rests on.  One loop, _first_annihilator, scans a label's functional
-over the divisors' point sets: a single query looks each set up when the scan
-reaches it, and an exhaustive sweep resolves every divisor's image once.  A
-basis-mode sweep instead builds the matrix M_g of a -> (Tr(a * (g . p^t)))_t
-entry by entry from the functional, and hands them to the fill the element
-sweep uses, FieldTower._first_kernel: it walks each M_g's kernel once, last
-divisor first, so that each label keeps the first divisor in scan order whose
-kernel holds it (_char_order).
+fast path rests on.  A single query, _first_annihilator, scans its label's
+functional over the divisors' point sets, looking each up when the scan reaches
+it.  An exhaustive sweep resolves every divisor's image once and reads each u = G a
+off two spans of G (FieldTower._first_vanishing).  A basis-mode sweep instead
+builds the matrix M_g of a -> (Tr(a * (g . p^t)))_t entry by entry from the
+functional, and hands them to the fill the element sweep uses,
+FieldTower._first_kernel: it walks each M_g's kernel once, last divisor first, so
+that each label keeps the first divisor in scan order whose kernel holds it
+(_char_order).
 """
 
 from __future__ import annotations
@@ -174,15 +175,14 @@ def _char_order(
     The indices sit in an array("H"), 2 bytes per label.  check="basis" takes
     for each label the first divisor g whose M_g annihilates it, by the fill the
     element sweep uses (FieldTower._first_kernel) over every divisor but x^n - 1.
-    check="exhaustive" resolves every divisor's image once, then runs each
-    label's functional through _first_annihilator over that list.
+    check="exhaustive" resolves every divisor's image once, then scans them for
+    each label in turn (FieldTower._first_vanishing).
     """
     if check == "exhaustive":
         from array import array  # on the first sweep only: runs without one never load it
 
         images = [_annihilation_points(tower, g.coeffs) for g in divisors]
-        scan = (_first_annihilator(tower._functional(v), images) for v in range(tower.size))
-        return array("H", scan)
+        return array("H", tower._first_vanishing(images))
     return tower._first_kernel([_trace_form_matrix(tower, g.coeffs) for g in divisors[:-1]])
 
 

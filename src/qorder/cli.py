@@ -38,6 +38,8 @@ from .action import fq_order
 from .errors import NonPrimeError, ParseError, PrimitiveNormalNotFoundError, QOrderError
 from .fields import (
     DEFAULT_SIZE_BOUND,
+    FieldTower,
+    _cached_map,
     base_field,
     build_tower,
     element_tokens,
@@ -45,6 +47,7 @@ from .fields import (
 )
 from .integers import is_prime
 from .poly import (
+    FactoredPoly,
     FqPoly,
     factor_xn_minus_1,
     is_self_reciprocal,
@@ -170,12 +173,18 @@ _RENDERERS = {"text": render_text, "json": render_json, "csv": render_csv}
 # -- commands -------------------------------------------------------------------
 
 
+@_cached_map
+def _xn_minus_1(tower: FieldTower, seed: int) -> FactoredPoly:
+    return factor_xn_minus_1(tower.n, tower.base, seed)
+
+
 def _field_entries(config: CommandConfig):
-    """Yield (p, s, n, tower, factorization of x^n - 1) for each field to cover."""
+    """Yield (p, s, n, tower, factorization of x^n - 1) for each field to cover; the
+    factorization and its divisor tables are kept per tower and seed (_xn_minus_1)."""
     grid = VERIFICATION_GRID if config.grid else [(config.p, config.s, config.n)]
     for p, s, n in grid:
         tower = build_tower(p, s, n, size_bound=config.size_bound)
-        yield p, s, n, tower, factor_xn_minus_1(n, tower.base, config.seed)
+        yield p, s, n, tower, _xn_minus_1(tower, config.seed)
 
 
 def cmd_factor(config: CommandConfig) -> ReportDocument:

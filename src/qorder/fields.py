@@ -27,9 +27,10 @@ matrix, and the matrices of action.py and characters.py) take and return one
 packed layout per tower, base-p digit t in field t, which element ints enter
 only at _pack and leave only at _unpack: _linear builds a map, _combine maps a
 packed vector to its packed image, _span lists the images of a range of points,
-_functional reads the trace form, and _cached_map keeps each map in the tower's
-one cache.  Each map x -> sum a_i x^(q^i), Frobenius powers and the trace among
-them, is an _action_matrix read off one per-tower table, _orbit_columns.  A
+_functional reads the trace form at one label, _first_vanishing at every label,
+and _cached_map keeps each map in the tower's one cache.  Each map
+x -> sum a_i x^(q^i), Frobenius powers and the trace among them, is an
+_action_matrix read off one per-tower table, _orbit_columns.  A
 sweep over the whole field needs each divisor matrix only through its kernel:
 _kernel_walk yields it row by row from the spans of the matrix's low and negated
 high columns, about 2 p^ceil(n*s/2) points, so a sweep touches each kernel
@@ -565,6 +566,36 @@ class FieldTower:
             return lambda v: (u & v).bit_count() & 1
         top, mask = self._width * (self.n * self.s - 1), (1 << self._width) - 1
         return lambda v: (u * v >> top & mask) % p
+
+    def _first_vanishing(self, images: Sequence[Sequence[int]]) -> Iterator[int]:
+        """For each label a in turn, the index of the first of images (packed point
+        lists) on which v -> Tr(a * v) vanishes.
+
+        As in _kernel_walk, with h = floor(n*s/2), row j of the labels j*p^h + i spans
+        G's first h columns from G (j*p^h), so each u = G a is one XOR or packed add
+        and no label builds a functional.  Each image is read up to its first point v
+        with Tr(a * v) != 0, tested from u as in _functional.
+        """
+        p, w, h = self.p, self._width, self.n * self.s // 2
+        gram, top, mask = self._trace_gram(), w * (self.n * self.s - 1), (1 << w) - 1
+        for high in self._span(gram[h:]):
+            for u in self._span(gram[:h], (high,)):
+                for k, points in enumerate(images):
+                    if p == 2:
+                        for v in points:
+                            if (u & v).bit_count() & 1:
+                                break
+                        else:
+                            break
+                    else:
+                        for v in points:
+                            if (u * v >> top & mask) % p:
+                                break
+                        else:
+                            break
+                else:
+                    raise AssertionError("x^n - 1 annihilates every character")
+                yield k
 
     def trace_i(self, x: int) -> int:
         """Tr_{q^n/p}(x) = sum of the n*s p-power conjugates, as a residue mod p: the

@@ -24,13 +24,20 @@ from qorder import (
     fq_order,
     linearized_eval,
     monic_reciprocal,
+    reciprocal_order_sweep,
     smallest_irreducible,
     trace_to_prime,
     trivial_character,
 )
-from qorder import action, characters, poly
+from qorder import VERIFICATION_GRID, action, characters, poly
 from qorder.action import _action_matrix, _apply_i
-from qorder.characters import _CHECK_MODES, _annihilation_points, _trace_form_matrix
+from qorder.characters import (
+    _CHECK_MODES,
+    _annihilation_points,
+    _char_order,
+    _char_order_i,
+    _trace_form_matrix,
+)
 
 from conftest import tower_and_factors
 from oracles import (
@@ -270,7 +277,9 @@ class TestAnnihilation:
                 for chi in chars
                 for psi in chars
             ]
-            return orders, values, acted
+            # the sweep reads every u = G a off half spans of the cached G
+            sweep = reciprocal_order_sweep(t, fp, check="exhaustive")
+            return orders, values, acted, sweep
 
         expected = characters_read()
 
@@ -335,6 +344,31 @@ class TestCharacterOrders:
             assert exhaustive == char_order_fast(chi, fp) == char_order_bruteforce(chi, fp), (
                 label.value
             )
+
+    @pytest.mark.parametrize(
+        "p,s,n",
+        [*VERIFICATION_GRID, (2, 1, 13), (2, 2, 7), (3, 1, 8), (3, 2, 4), (5, 1, 5), (7, 1, 4)],
+    )
+    def test_exhaustive_sweep_matches_query_label_by_label(self, p, s, n):
+        # the sweep reads u = G a off two half spans of G, the query builds each
+        # label's functional: both p = 2 and odd p, s = 1 and s > 1, and odd n*s,
+        # where the two halves differ in size
+        t, fp = tower_and_factors(p, s, n)
+        divisors = divisors_of_xn_minus_1(fp)
+        swept = _char_order(t, divisors, "exhaustive")
+        assert len(swept) == t.size
+        for a, k in enumerate(swept):
+            assert divisors[k] == _char_order_i(t, divisors, a, "exhaustive"), a
+
+    @pytest.mark.parametrize("p,s,n", [(2, 1, 4), (2, 2, 3), (3, 1, 3), (5, 1, 2)])
+    def test_exhaustive_sweep_without_xn_minus_1_fails_loudly(self, p, s, n):
+        # without x^n - 1's image, {0}, no image vanishes for the labels of order
+        # x^n - 1: the sweep raises the invariant's AssertionError (exit 3 in the
+        # CLI), not a TypeError from an index that was never found
+        t, fp = tower_and_factors(p, s, n)
+        divisors = divisors_of_xn_minus_1(fp)
+        with pytest.raises(AssertionError, match=r"^x\^n - 1 annihilates every character$"):
+            _char_order(t, divisors[:-1], "exhaustive")
 
     def test_non_self_reciprocal_case_q2_n7(self):
         t = build_tower(2, 1, 7)

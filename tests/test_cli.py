@@ -428,6 +428,40 @@ class TestConfigPlumbing:
             assert f"\n  {command} " in out
 
 
+class TestFactorizationMemo:
+    def test_one_factorization_per_tower_and_seed(self, capsys, monkeypatch):
+        # commands in one process share x^n - 1's factorization per tower and
+        # seed; a seed no other test passes keeps the count to this test's calls
+        import qorder.cli as cli_mod
+
+        calls = []
+
+        def counted(n, field, seed=0):
+            calls.append((n, field, seed))
+            return qorder.factor_xn_minus_1(n, field, seed)
+
+        def grid(seed):
+            args = ("corollary1", "--grid", "--format", "json", "--seed", str(seed))
+            code, out, _ = run_cli(capsys, *args)
+            assert code == 0
+            return out
+
+        monkeypatch.setattr(cli_mod, "factor_xn_minus_1", counted)
+        reports, counts = [], []
+        for seed in (2727, 2727, 2728):
+            before = len(calls)
+            reports.append(grid(seed))
+            counts.append(len(calls) - before)
+        fields = len(qorder.VERIFICATION_GRID)
+        assert counts == [fields, 0, fields]
+        assert {seed for _, _, seed in calls} == {2727, 2728}
+
+        monkeypatch.setattr(
+            cli_mod, "_xn_minus_1", lambda t, seed: qorder.factor_xn_minus_1(t.n, t.base, seed)
+        )
+        assert reports == [grid(2727), grid(2727), grid(2728)]
+
+
 class TestReportPlumbing:
     def test_verdict_follows_counterexamples(self):
         from qorder.cli import ReportDocument, render_csv, render_json, render_text
