@@ -19,11 +19,11 @@ fast path rests on.  A single query, _first_annihilator, scans its label's
 functional over the divisors' point sets, looking each up when the scan reaches
 it.  An exhaustive sweep resolves every divisor's image once and reads each u = G a
 off two spans of G (FieldTower._first_vanishing).  A basis-mode sweep instead
-builds the matrix M_g of a -> (Tr(a * (g . p^t)))_t entry by entry from the
-functional, and hands them to the fill the element sweep uses,
-FieldTower._first_kernel: it walks each M_g's kernel once, last divisor first, so
-that each label keeps the first divisor in scan order whose kernel holds it
-(_char_order).
+builds the matrix M_g of a -> (Tr(a * (g . p^t)))_t as the transpose of G A_g,
+with no product or trace per entry, and hands them to the fill the element sweep
+uses, FieldTower._first_kernel: it walks each M_g's kernel once, last divisor
+first, so that each label keeps the first divisor in scan order whose kernel holds
+it (_char_order).
 """
 
 from __future__ import annotations
@@ -101,13 +101,14 @@ def _check_mode(check: str) -> None:
 def _trace_form_matrix(tower: FieldTower, coeffs: tuple[int, ...]) -> tuple[int, ...]:
     """M_g, the F_p-matrix of a -> (Tr(a * (g . p^t)))_t for t < n*s.
 
-    Entry t of M_g a is a's functional at column t of the action matrix A_g.
-    Only a sweep needs M_g, for its kernel walk.
+    Row t of M_g is G (A_g p^t), the Gram matrix applied to column t of the action
+    matrix A_g, so M_g is the transpose of G A_g, its columns taken in reverse for
+    odd p, where G keeps Tr(p^i * x) in field n*s - 1 - i.  No entry costs a
+    product or a trace.  Only a sweep needs M_g, for its kernel walk.
     """
-    cols, p = _action_matrix(tower, coeffs), tower.p
-    return tower._linear(
-        lambda a: sum(e * p**t for t, e in enumerate(map(tower._functional(a), cols)))
-    )
+    gram = tower._trace_gram()
+    cols = tower._transpose([tower._combine(gram, col) for col in _action_matrix(tower, coeffs)])
+    return cols if tower.p == 2 else cols[::-1]
 
 
 @_cached_map

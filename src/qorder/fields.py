@@ -27,10 +27,11 @@ matrix, and the matrices of action.py and characters.py) take and return one
 packed layout per tower, base-p digit t in field t, which element ints enter
 only at _pack and leave only at _unpack: _linear builds a map, _combine maps a
 packed vector to its packed image, _span lists the images of a range of points,
-_functional reads the trace form at one label, _first_vanishing at every label,
-and _cached_map keeps each map in the tower's one cache.  Each map
-x -> sum a_i x^(q^i), Frobenius powers and the trace among them, is an
-_action_matrix read off one per-tower table, _orbit_columns.  A
+_transpose transposes a square matrix, _trace_gram reads the trace form off its
+(2s - 1)(2n - 1) block-Hankel traces, _functional reads it at one label,
+_first_vanishing at every label, and _cached_map keeps each map in the tower's
+one cache.  Each map x -> sum a_i x^(q^i), Frobenius powers and the trace among
+them, is an _action_matrix read off one per-tower table, _orbit_columns.  A
 sweep over the whole field needs each divisor matrix only through its kernel:
 _kernel_walk yields it row by row from the spans of the matrix's low and negated
 high columns, about 2 p^ceil(n*s/2) points, so a sweep touches each kernel
@@ -455,6 +456,15 @@ class FieldTower:
                 span += layer
         return span
 
+    def _transpose(self, cols: Sequence[int]) -> tuple[int, ...]:
+        """The packed columns of the transpose of the square matrix cols: field t of
+        column r is field r of cols[t]."""
+        w, mask = self._width, (1 << self._width) - 1
+        return tuple(
+            sum((col >> w * r & mask) << w * t for t, col in enumerate(cols))
+            for r in range(len(cols))
+        )
+
     def _kernel_walk(self, cols: tuple[int, ...]) -> Iterator[tuple[int, list[int]]]:
         """The kernel of A = cols, one row at a time: (j*B, [i : A (j*B + i) = 0]).
 
@@ -502,11 +512,15 @@ class FieldTower:
 
         With m = a*s + b, p^m is t^b u^a, so t^j * p^m is the F_q scalar t^(b + j)
         at u^a.  The q-power map is F_q-linear, so its conjugates come from the
-        q-power matrix, whose column a*s + b is t^b * (u^a)^q: no entry costs a
+        q-power matrix, whose column a*s + b is t^b * (u^a)^q, with (u^a)^q = (u^q)^a
+        by successive products: one power and n - 1 products, and no entry costs a
         tower product.
         """
         n, s, p, q, pack = self.n, self.s, self.p, self.q, self._pack
-        powers = [self.pow_i(q**a, q) for a in range(n)]
+        powers = [1]  # (u^a)^q for a < n; for n = 1 there is no u, and q is no element
+        u_q = self.pow_i(q, q) if n > 1 else None
+        while len(powers) < n:
+            powers.append(self.mul_i(powers[-1], u_q))
         to_q = tuple(pack(self.mul_i(p**b, y)) for y in powers for b in range(s))
 
         def conjugates(v: int) -> list[int]:
@@ -515,9 +529,7 @@ class FieldTower:
                 out.append(self._combine(to_q, out[-1]))
             return out
 
-        # t^k = t^(k//2) * t^(k - k//2) for the 2s - 1 sums k = b + j
-        scalars = [self.base.mul(p ** (k // 2), p ** (k - k // 2)) for k in range(2 * s - 1)]
-        orbits = [[conjugates(c * q**a) for c in scalars] for a in range(n)]
+        orbits = [[conjugates(c * q**a) for c in self._t_powers()] for a in range(n)]
         return tuple(
             tuple(orbits[a][b + j][i] for i in range(n) for j in range(s))
             for a in range(n)
@@ -546,13 +558,29 @@ class FieldTower:
         cols = self._action_matrix((1,) * self.n)
         return cols if self.s == 1 else tuple(map(self.base.tower.trace_i, map(self._unpack, cols)))
 
+    def _t_powers(self) -> list[int]:
+        """t^k in F_q for the 2s - 1 sums k = b + j of two t-exponents below s, each
+        t^(k//2) * t^(k - k//2)."""
+        p = self.p
+        return [self.base.mul(p ** (k // 2), p ** (k - k // 2)) for k in range(2 * self.s - 1)]
+
     @_cached_map
     def _trace_gram(self) -> tuple[int, ...]:
         """The trace form's Gram matrix: x -> (Tr(p^i * x))_i, i < n*s, with
-        Tr(p^i * x) in field i for p = 2 and in field n*s - 1 - i for odd p."""
-        basis = [self.p**i for i in range(self.n * self.s)]
-        at = list(zip(basis, basis if self.p == 2 else basis[::-1]))
-        return self._linear(lambda b: sum(self.trace_i(self.mul_i(e, b)) * f for e, f in at))
+        Tr(p^i * x) in field i for p = 2 and in field n*s - 1 - i for odd p.
+
+        p^(a*s + b) is t^b u^a, so entry (a*s + b, a'*s + b') is Tr(t^(b + b') u^(a + a')):
+        G is block Hankel, read off the (2s - 1)(2n - 1) traces h[k][m] = Tr(t^k u^m)
+        (mul_i reduces u^m past u^(n - 1)), in place of a product and a trace per entry.
+        """
+        n, s, q, w, total = self.n, self.s, self.q, self._width, self.n * self.s
+        h = [[self.trace_i(self.mul_i(c, q**m)) for m in range(2 * n - 1)] for c in self._t_powers()]
+        shifts = [w * (i if self.p == 2 else total - 1 - i) for i in range(total)]
+        return tuple(
+            sum(h[i % s + b][i // s + a] << shift for i, shift in enumerate(shifts))
+            for a in range(n)
+            for b in range(s)
+        )
 
     def _functional(self, lab: int) -> Callable[[int], int]:
         """v -> Tr(lab * v), the exponent of chi_lab at v, on v packed by _pack.

@@ -429,6 +429,33 @@ class TestCharacterOrders:
                 assert char_order_bruteforce(chi, fp, check=check) == order
 
 
+@pytest.mark.parametrize("p,s,n", [(3, 2, 3), (2, 1, 10), (5, 1, 4)])
+def test_trace_form_matrix_build_multiplies_no_field_elements(p, s, n):
+    # once G and every A_g are cached, M_g is G A_g transposed, with no product,
+    # power, Frobenius, trace or functional per entry; field k of its column r is
+    # Tr(p^r * (g . p^k)) by the oracles
+    known, fp = tower_and_factors(p, s, n)
+    t = FieldTower(known.base, known.top_modulus)  # a fresh tower: nothing cached
+    divisors = divisors_of_xn_minus_1(fp)[:-1]
+    t._trace_gram()
+    for g in divisors:
+        _action_matrix(t, g.coeffs)
+
+    def field_arithmetic(*args):
+        raise AssertionError("a trace form matrix build read the field per entry")
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("mul_i", "pow_i", "frob_i", "trace_i", "_functional"):
+            patch.setattr(FieldTower, name, field_arithmetic)
+        matrices = [_trace_form_matrix(t, g.coeffs) for g in divisors]
+    w, total = t._width, n * s
+    for g, cols in zip(divisors, matrices):
+        acted = [oracle_apply_action(t, g.coeffs, p**k) for k in range(total)]
+        for r, k in itertools.product(range(total), repeat=2):
+            product = FFElement(t, oracle_tower_mul(t, p**r, acted[k]))
+            assert cols[r] >> w * k & (1 << w) - 1 == oracle_trace(product), (str(g), r, k)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(OFF_GRID), st.data())
 def test_trace_form_matrix_entries_on_towers_off_the_grid(psn, data):

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qorder import (
+    VERIFICATION_GRID,
     BaseField,
     FFElement,
     FieldMismatchError,
+    FieldTower,
     NonPrimeError,
     SizeExceededError,
     base_field,
@@ -34,6 +36,7 @@ from oracles import (
     oracle_tower_mul,
     oracle_trace,
 )
+from test_action import OFF_GRID
 
 # Towers past _EXP_LOG_BOUND, where even F_q has no log tables when s > 1:
 # q = 2 (shift-xor multiply), q = 4, odd p, odd p with s = 2.
@@ -518,6 +521,61 @@ class TestKernelPastTableBound:
         pairs += [(rng.randrange(t.size), rng.randrange(t.size)) for _ in range(30)]
         for a, b in pairs:
             assert t.mul_i(a, b) == oracle_tower_mul(t, a, b), (a, b)
+
+
+class TestTraceGram:
+    """The trace form's Gram matrix, read off its (2s - 1)(2n - 1) block-Hankel
+    traces, entry for entry against the oracle trace of p^i * p^j, in the packed
+    layout for its p."""
+
+    @staticmethod
+    def entry(t, gram, i, j):
+        # Tr(p^i * p^j) is field i of column j for p = 2, field n*s - 1 - i for odd p
+        field = i if t.p == 2 else t.n * t.s - 1 - i
+        return gram[j] >> t._width * field & (1 << t._width) - 1
+
+    @staticmethod
+    def oracle(t, i, j):
+        return oracle_trace(FFElement(t, oracle_tower_mul(t, t.p**i, t.p**j)))
+
+    # every grid tower, the towers off it, and n = 1 towers with s = 2 and s = 3,
+    # where G is F_q's own trace form
+    @pytest.mark.parametrize("p,s,n", [*VERIFICATION_GRID, *OFF_GRID, (5, 2, 1), (3, 3, 1)])
+    def test_every_entry_matches_oracle(self, p, s, n):
+        t = build_tower(p, s, n)
+        gram, total = t._trace_gram(), n * s
+        assert len(gram) == total and all(col >> t._width * total == 0 for col in gram)
+        for i, j in itertools.combinations_with_replacement(range(total), 2):
+            expected = self.oracle(t, i, j)  # p^i * p^j = p^j * p^i
+            assert self.entry(t, gram, i, j) == self.entry(t, gram, j, i) == expected, (i, j)
+
+    @pytest.mark.parametrize("p,s,n", [(2, 1, 64), (3, 2, 20)])
+    def test_sampled_entries_on_large_towers(self, p, s, n):
+        # (last, last) reaches t^(2s - 2) u^(2n - 2), past both moduli; an oracle
+        # trace takes about a second on F_{2^64}, so three entries each
+        t = build_tower(p, s, n, size_bound=p ** (s * n))
+        gram, last = t._trace_gram(), n * s - 1
+        rng = random.Random(p * 1000 + s * 100 + n)
+        for i, j in [(0, last), (last, last), (rng.randrange(last), rng.randrange(last))]:
+            assert self.entry(t, gram, i, j) == self.oracle(t, i, j), (i, j)
+
+    @pytest.mark.parametrize("p,s,n", [(2, 1, 64), (3, 2, 20)])
+    def test_build_takes_one_trace_per_hankel_entry(self, p, s, n, monkeypatch):
+        # with the orbit and trace tables cached, G costs (2s - 1)(2n - 1) traces
+        # at most, not one per entry
+        known = build_tower(p, s, n, size_bound=p ** (s * n))
+        expected = known._trace_gram()
+        t = FieldTower(known.base, known.top_modulus)  # a fresh tower: nothing cached
+        t._trace_columns()
+        calls, trace_i = [], FieldTower.trace_i
+
+        def counted(tower, x):
+            calls.append(x)
+            return trace_i(tower, x)
+
+        monkeypatch.setattr(FieldTower, "trace_i", counted)
+        assert t._trace_gram() == expected
+        assert 0 < len(calls) <= (2 * s - 1) * (2 * n - 1)
 
 
 class TestPackedLayout:
