@@ -15,10 +15,11 @@ g by that functional vanishing on the n*s columns g . p^t of the action matrix
 A_g (basis mode), since the trace form is bilinear, or on every distinct value
 v = g . x, the image of A_g (exhaustive mode), the F_p-span of those columns
 (_annihilation_points).  Neither mode uses the reciprocal relation that the
-fast path rests on.  A single query, _first_annihilator, scans its label's
-functional over the divisors' point sets, looking each up when the scan reaches
-it.  An exhaustive sweep resolves every divisor's image once and reads each u = G a
-off two spans of G (FieldTower._first_vanishing).  A basis-mode sweep instead
+fast path rests on.  One loop, FieldTower._first_vanishing, scans the divisors'
+point sets for each u = G a it is given: a single query passes its label's u
+(FieldTower._dual) and looks each point set up when the scan reaches it; an
+exhaustive sweep resolves every divisor's image once and passes every label's u,
+read off two spans of G (FieldTower._duals).  A basis-mode sweep instead
 builds the matrix M_g of a -> (Tr(a * (g . p^t)))_t as the transpose of G A_g,
 with no product or trace per entry, and hands them to the fill the element sweep
 uses, FieldTower._first_kernel: it walks each M_g's kernel once, last divisor
@@ -29,7 +30,7 @@ it (_char_order).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 from .action import _action_matrix, _check_coeff_field, apply_action, fq_order
 from .errors import FieldMismatchError
@@ -132,16 +133,6 @@ _POINT_SETS = {"basis": _action_matrix, "exhaustive": _annihilation_points}
 _CHECK_MODES = tuple(_POINT_SETS)
 
 
-def _first_annihilator(
-    f: Callable[[int], int], point_sets: Iterable[tuple[int, ...]]
-) -> int:
-    """The index of the first point set on which the functional f vanishes."""
-    for k, points in enumerate(point_sets):
-        if not any(map(f, points)):
-            return k
-    raise AssertionError("x^n - 1 annihilates every character")
-
-
 def char_annihilated_by(
     g: FqPoly, chi: AdditiveCharacter, *, check: str = "basis"
 ) -> bool:
@@ -165,7 +156,7 @@ def _char_order_i(
     Each divisor's points are looked up only when the scan reaches it.
     """
     scan = (_POINT_SETS[check](tower, g.coeffs) for g in divisors)
-    return divisors[_first_annihilator(tower._functional(lab), scan)]
+    return divisors[next(tower._first_vanishing(scan, (tower._dual(lab),)))]
 
 
 def _char_order(
@@ -177,13 +168,14 @@ def _char_order(
     for each label the first divisor g whose M_g annihilates it, by the fill the
     element sweep uses (FieldTower._first_kernel) over every divisor but x^n - 1.
     check="exhaustive" resolves every divisor's image once, then scans them for
-    each label in turn (FieldTower._first_vanishing).
+    each label's u = G a in turn (FieldTower._duals, FieldTower._first_vanishing),
+    the scan a single query makes.
     """
     if check == "exhaustive":
         from array import array  # on the first sweep only: runs without one never load it
 
         images = [_annihilation_points(tower, g.coeffs) for g in divisors]
-        return array("H", tower._first_vanishing(images))
+        return array("H", tower._first_vanishing(images, tower._duals()))
     return tower._first_kernel([_trace_form_matrix(tower, g.coeffs) for g in divisors[:-1]])
 
 

@@ -12,7 +12,9 @@ from action._element_order and characters._char_order.  Both are one fill,
 FieldTower._first_kernel, over the proper divisors' matrices A_g or M_g (the
 exhaustive character check scans images instead).  A check judges each
 (element order, character order) index pair once, and walks the elements
-again, in range order, only when a pair fails.
+again, in range order, only when a pair fails.  The order reports take the
+same checks in both modes (_scan_reciprocals); in fast mode a label's character
+order is its element order's index read through its monic reciprocal's index.
 Elements and characters are wrapped in FFElement and AdditiveCharacter only
 where a result holds them: partitions, counterexamples, the element found.
 find_primitive_normal, which stops at its first hit, tests as is_normal does.
@@ -61,11 +63,6 @@ MEYN_SWEEP_PRIME_POWERS: tuple[int, ...] = (2, 3, 4, 5, 7, 8, 9)
 MEYN_SWEEP_MAX_N: int = 20
 
 
-def _check_route(mode: str) -> None:
-    if mode not in ("oracle", "fast"):
-        raise ValueError("mode must be 'oracle' or 'fast'")
-
-
 def _check_sweep(tower: FieldTower, fp: FactoredPoly, size_bound: int) -> None:
     """The size bound, then the check fq_order makes on every element, once."""
     if tower.size > size_bound:
@@ -82,6 +79,18 @@ def _scan_divisors(
     _check_sweep(tower, fp, size_bound)
     _check_mode(check)
     return divisors_of_xn_minus_1(fp)
+
+
+def _scan_reciprocals(
+    tower: FieldTower, fp: FactoredPoly, mode: str, check: str, size_bound: int
+) -> tuple[tuple[FqPoly, ...], list[int]]:
+    """The divisors in scan order, after the checks of _scan_divisors in either
+    mode, and for each divisor the index of its monic reciprocal among them."""
+    if mode not in ("oracle", "fast"):
+        raise ValueError("mode must be 'oracle' or 'fast'")
+    divisors = _scan_divisors(tower, fp, check, size_bound)
+    index = {g: k for k, g in enumerate(divisors)}
+    return divisors, [index[monic_reciprocal(g)] for g in divisors]
 
 
 def _failures(
@@ -130,19 +139,16 @@ def characters_by_order(
     """Partition of all q^n additive characters by character order.
 
     mode="oracle" computes each order by the definitional divisor scan;
-    mode="fast" uses the reciprocal relation and groups the labels whose
-    element order is the reciprocal of the requested divisor.
+    mode="fast" uses the reciprocal relation: a label's character order is the
+    monic reciprocal of its element order.
     """
-    _check_route(mode)
-    if mode == "fast":
-        by_element = elements_by_order(tower, fp, size_bound=size_bound)
-        return {
-            f: {AdditiveCharacter(a) for a in by_element[monic_reciprocal(f)]}
-            for f in divisors_of_xn_minus_1(fp)
-        }
-    divisors = _scan_divisors(tower, fp, check, size_bound)
+    divisors, reciprocal = _scan_reciprocals(tower, fp, mode, check, size_bound)
+    if mode == "oracle":
+        orders = _char_order(tower, divisors, check)
+    else:
+        orders = map(reciprocal.__getitem__, _element_order(tower, divisors))
     chars: list[set[AdditiveCharacter]] = [set() for _ in divisors]
-    for v, k in enumerate(_char_order(tower, divisors, check)):
+    for v, k in enumerate(orders):
         chars[k].add(AdditiveCharacter(FFElement(tower, v)))
     return dict(zip(divisors, chars))
 
@@ -359,29 +365,14 @@ def classification_report(
     scan so the report stays independent of the reciprocal fast path;
     mode="fast" trades that independence for speed on large fields.
     """
-    _check_route(mode)
+    divisors, reciprocal = _scan_reciprocals(tower, fp, mode, check, size_bound)
+    elements = Counter(_element_order(tower, divisors))
     if mode == "oracle":
-        divisors = _scan_divisors(tower, fp, check, size_bound)
         chars = Counter(_char_order(tower, divisors, check))
     else:
-        _check_sweep(tower, fp, size_bound)
-        divisors = divisors_of_xn_minus_1(fp)
-    elements = Counter(_element_order(tower, divisors))
-    element_counts = Counter({divisors[k]: count for k, count in elements.items()})
-    if mode == "oracle":
-        char_counts = Counter({divisors[k]: count for k, count in chars.items()})
-    else:
-        char_counts = Counter({monic_reciprocal(f): c for f, c in element_counts.items()})
-    rows = []
-    for f, phi in divisor_phi_table(fp):
-        rows.append(
-            ClassificationRow(
-                divisor=f,
-                element_count=element_counts[f],
-                phi=phi,
-                char_count=char_counts[f],
-                reciprocal=monic_reciprocal(f),
-                self_reciprocal=is_self_reciprocal(f),
-            )
-        )
-    return ClassificationReport(p=tower.p, s=tower.s, n=tower.n, rows=tuple(rows))
+        chars = Counter({reciprocal[k]: count for k, count in elements.items()})
+    rows = tuple(
+        ClassificationRow(f, elements[k], phi, chars[k], divisors[reciprocal[k]], reciprocal[k] == k)
+        for k, (f, phi) in enumerate(divisor_phi_table(fp))
+    )
+    return ClassificationReport(p=tower.p, s=tower.s, n=tower.n, rows=rows)

@@ -14,7 +14,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from . import __version__
 from .characters import (
@@ -34,7 +34,7 @@ from .classify import (
     orders_coincide_iff_self_reciprocal,
     reciprocal_order_sweep,
 )
-from .action import fq_order
+from .action import _element_order, fq_order
 from .errors import NonPrimeError, ParseError, PrimitiveNormalNotFoundError, QOrderError
 from .fields import (
     DEFAULT_SIZE_BOUND,
@@ -49,6 +49,7 @@ from .integers import is_prime
 from .poly import (
     FactoredPoly,
     FqPoly,
+    divisors_of_xn_minus_1,
     factor_xn_minus_1,
     is_self_reciprocal,
     monic_reciprocal,
@@ -69,29 +70,24 @@ class CommandConfig:
     n: int | None = None
     seed: int = 0
     size_bound: int = DEFAULT_SIZE_BOUND
-    output_format: str = "text"
+    format: str = "text"
     mode: str = "both"
     check: str = "basis"
     grid: bool = False
     extra: dict = field(default_factory=dict)
 
     def meta(self) -> dict:
-        out = {
+        """tool and version, every option in declaration order, then the extras."""
+        return {
             "tool": "qorder",
             "version": __version__,
-            "command": self.command,
-            "p": self.p,
-            "s": self.s,
-            "n": self.n,
-            "seed": self.seed,
-            "size_bound": self.size_bound,
-            "format": self.output_format,
-            "mode": self.mode,
-            "check": self.check,
-            "grid": self.grid,
+            **{name: getattr(self, name) for name in _OPTIONS},
+            **self.extra,
         }
-        out.update(self.extra)
-        return out
+
+
+#: The CommandConfig fields that echo an option, each the dest of its argparse option.
+_OPTIONS = tuple(f.name for f in fields(CommandConfig) if f.name != "extra")
 
 
 @dataclass
@@ -374,8 +370,8 @@ def cmd_pnbt(config: CommandConfig) -> ReportDocument:
     counterexamples = []
     for p, s, n, tower, fp in _field_entries(config):
         element = find_primitive_normal(tower, fp, size_bound=config.size_bound)
-        report = classification_report(tower, fp, mode="fast", size_bound=config.size_bound)
-        normal_count = report.rows[-1].element_count  # the last divisor is x^n - 1
+        divisors = divisors_of_xn_minus_1(fp)  # normal: order x^n - 1, the last divisor
+        normal_count = _element_order(tower, divisors).count(len(divisors) - 1)
         phi_full = phi_q(fp)
         rows.append(
             {
@@ -459,11 +455,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> CommandConfig:
-    seed = args.seed
     env_seed = os.environ.get("QORDER_SEED")
     if env_seed is not None:
         try:
-            seed = int(env_seed)
+            args.seed = int(env_seed)
         except ValueError as exc:
             raise ParseError(f"QORDER_SEED={env_seed!r} is not an integer") from exc
     command, reads = args.command, set(_READS[args.command])
@@ -488,18 +483,7 @@ def _resolve_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -
         raise ParseError(f"--s must be at least 1, got {args.s}")
     if args.n is None and "n" in reads:
         raise ParseError("--n is required for this command")
-    config = CommandConfig(
-        command=command,
-        p=args.p,
-        s=args.s,
-        n=args.n,
-        seed=seed,
-        size_bound=args.size_bound,
-        output_format=args.format,
-        mode=args.mode,
-        check=args.check,
-        grid=args.grid,
-    )
+    config = CommandConfig(**{name: getattr(args, name) for name in _OPTIONS})
     if command == "corollary2":
         config.extra["n_max"] = MEYN_SWEEP_MAX_N if args.n_max is None else args.n_max
     return config
@@ -535,7 +519,7 @@ def main(argv=None) -> int:
         print("error: out of memory", file=sys.stderr)
         return 2
     try:
-        print(_RENDERERS[config.output_format](doc))
+        print(_RENDERERS[config.format](doc))
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed stdout early (`| head`): exit as a SIGPIPE-killed tool

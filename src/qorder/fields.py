@@ -28,10 +28,10 @@ packed layout per tower, base-p digit t in field t, which element ints enter
 only at _pack and leave only at _unpack: _linear builds a map, _combine maps a
 packed vector to its packed image, _span lists the images of a range of points,
 _transpose transposes a square matrix, _trace_gram reads the trace form off its
-(2s - 1)(2n - 1) block-Hankel traces, _functional reads it at one label,
-_first_vanishing at every label, and _cached_map keeps each map in the tower's
-one cache.  Each map x -> sum a_i x^(q^i), Frobenius powers and the trace among
-them, is an _action_matrix read off one per-tower table, _orbit_columns.  A
+(2s - 1)(2n - 1) block-Hankel traces, _dual at one label, _duals at every label,
+_first_vanishing scans point sets at them, and _cached_map keeps each map in the
+tower's one cache.  Each map x -> sum a_i x^(q^i), Frobenius powers and the trace
+among them, is an _action_matrix read off one per-tower table, _orbit_columns.  A
 sweep over the whole field needs each divisor matrix only through its kernel:
 _kernel_walk yields it row by row from the spans of the matrix's low and negated
 high columns, about 2 p^ceil(n*s/2) points, so a sweep touches each kernel
@@ -582,48 +582,58 @@ class FieldTower:
             for b in range(s)
         )
 
+    def _dual(self, lab: int) -> int:
+        """u = G lab, packed: Tr(p^t * lab) sits where _trace_gram puts it."""
+        return self._combine(self._trace_gram(), self._pack(lab))
+
     def _functional(self, lab: int) -> Callable[[int], int]:
         """v -> Tr(lab * v), the exponent of chi_lab at v, on v packed by _pack.
 
-        u = G lab holds Tr(p^t * lab) (_trace_gram), and Tr(lab * v) = sum_t of it
+        u = G lab holds Tr(p^t * lab) (_dual), and Tr(lab * v) = sum_t of it
         times v_t mod p: for p = 2 the parity of u & v.  For odd p, u's fields run
         highest first, so u * v holds the sum in field n*s - 1, below 2^_width.
         """
-        p, u = self.p, self._combine(self._trace_gram(), self._pack(lab))
+        p, u = self.p, self._dual(lab)
         if p == 2:
             return lambda v: (u & v).bit_count() & 1
         top, mask = self._width * (self.n * self.s - 1), (1 << self._width) - 1
         return lambda v: (u * v >> top & mask) % p
 
-    def _first_vanishing(self, images: Sequence[Sequence[int]]) -> Iterator[int]:
-        """For each label a in turn, the index of the first of images (packed point
-        lists) on which v -> Tr(a * v) vanishes.
-
-        As in _kernel_walk, with h = floor(n*s/2), row j of the labels j*p^h + i spans
-        G's first h columns from G (j*p^h), so each u = G a is one XOR or packed add
-        and no label builds a functional.  Each image is read up to its first point v
-        with Tr(a * v) != 0, tested from u as in _functional.
-        """
-        p, w, h = self.p, self._width, self.n * self.s // 2
-        gram, top, mask = self._trace_gram(), w * (self.n * self.s - 1), (1 << w) - 1
+    def _duals(self) -> Iterator[int]:
+        """u = G a for every label a in range order.  As in _kernel_walk, with
+        h = floor(n*s/2), row j of the labels j*p^h + i spans G's first h columns
+        from G (j*p^h), so each u is one XOR or packed add."""
+        gram, h = self._trace_gram(), self.n * self.s // 2
         for high in self._span(gram[h:]):
-            for u in self._span(gram[:h], (high,)):
-                for k, points in enumerate(images):
-                    if p == 2:
-                        for v in points:
-                            if (u & v).bit_count() & 1:
-                                break
-                        else:
+            yield from self._span(gram[:h], (high,))
+
+    def _first_vanishing(self, images: Iterable[Sequence[int]], duals: Iterable[int]) -> Iterator[int]:
+        """For each u = G a of duals in turn, the index of the first of images (packed
+        point lists) on which v -> Tr(a * v) vanishes, the one scan of a query (one u,
+        its images lazy) and of a sweep (every u, one list of images read for each).
+
+        Each image is read up to its first point v with Tr(a * v) != 0, tested from u
+        as in _functional.  x^n - 1 annihilates every character; this is the one check.
+        """
+        p, w = self.p, self._width
+        top, mask = w * (self.n * self.s - 1), (1 << w) - 1
+        for u in duals:
+            for k, points in enumerate(images):
+                if p == 2:
+                    for v in points:
+                        if (u & v).bit_count() & 1:
                             break
                     else:
-                        for v in points:
-                            if (u * v >> top & mask) % p:
-                                break
-                        else:
-                            break
+                        break
                 else:
-                    raise AssertionError("x^n - 1 annihilates every character")
-                yield k
+                    for v in points:
+                        if (u * v >> top & mask) % p:
+                            break
+                    else:
+                        break
+            else:
+                raise AssertionError("x^n - 1 annihilates every character")
+            yield k
 
     def trace_i(self, x: int) -> int:
         """Tr_{q^n/p}(x) = sum of the n*s p-power conjugates, as a residue mod p: the

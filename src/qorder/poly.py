@@ -713,7 +713,8 @@ def _check_divisor_count(fp: FactoredPoly) -> None:
     count = fp.divisor_count()
     if count > DEFAULT_DIVISOR_BOUND:
         raise SizeExceededError(
-            f"{count} divisors exceed the configured bound {DEFAULT_DIVISOR_BOUND}"
+            f"{count} divisors exceed the fixed bound {DEFAULT_DIVISOR_BOUND} on a "
+            "divisor list, which no option raises"
         )
 
 

@@ -89,9 +89,22 @@ def test_sweeps_reject_factorization_of_another_xm_minus_1(sweep):
         sweep(t, factor_xn_minus_1(2, t.base))
 
 
+@pytest.mark.parametrize("sweep", [characters_by_order, classification_report])
+@pytest.mark.parametrize("mode", ["oracle", "fast"])
+@pytest.mark.parametrize("p,s,n", [(2, 1, 4), (3, 1, 2)])
+def test_order_reports_reject_an_unknown_check_in_both_modes(sweep, mode, p, s, n):
+    # fast mode runs no character scan, yet takes the same checks as oracle mode
+    t, fp = tower_and_factors(p, s, n)
+    with pytest.raises(ValueError, match="check must be one of"):
+        sweep(t, fp, mode=mode, check="nope")
+
+
 class TestCharactersByOrder:
     def test_modes_agree(self, small_grid):
-        for t, fp in small_grid:
+        # over F_4, x^3 - 1 = (x + 1)(x + 2)(x + 3) with x + 2 and x + 3 each
+        # other's reciprocals, and x^7 - 1 over F_2 has a non-self-reciprocal
+        # cubic pair, so fast mode must read each order's reciprocal, not the order
+        for t, fp in [*small_grid, tower_and_factors(2, 2, 3), tower_and_factors(2, 1, 7)]:
             oracle = characters_by_order(t, fp, mode="oracle")
             fast = characters_by_order(t, fp, mode="fast")
             assert oracle == fast

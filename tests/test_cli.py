@@ -221,6 +221,43 @@ class TestConfigPlumbing:
         assert meta["size_bound"] == 1 << 24
         assert meta["tool"] == "qorder"
 
+    @pytest.mark.parametrize(
+        "argv,extra",
+        [
+            (("--p", "3", "--n", "4", "factor"), ["divisor_count"]),
+            (("--p", "2", "--n", "3", "orders"), []),
+            (("--p", "2", "--n", "3", "verify-theorem"), []),
+            (("--p", "2", "--n", "3", "corollary1"), []),
+            (("--p", "2", "corollary2", "--n-max", "3"), ["n_max"]),
+            (("--p", "2", "--n", "3", "char-order", "0,1,1"), ["label"]),
+            (("--p", "2", "--n", "3", "pnbt"), []),
+        ],
+    )
+    def test_json_meta_key_order(self, capsys, argv, extra):
+        # tool and version, the options in a fixed order, then the command's extras
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert list(json.loads(out)["meta"]) == [
+            "tool", "version", "command", "p", "s", "n", "seed", "size_bound",
+            "format", "mode", "check", "grid", *extra,
+        ]
+
+    def test_divisor_bound_is_named_fixed(self, capsys):
+        # x^63 - 1 over F_2 has 8192 divisors: the oracle scan refuses to list them,
+        # and the message says no option raises the bound, --size-bound included
+        field = ("--p", "2", "--n", "63", "--size-bound", str(10**23))
+        code, out, err = run_cli(capsys, *field, "char-order", "1,1")
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: 8192 divisors exceed the fixed bound 4096 on a divisor list, "
+            "which no option raises\n"
+        )
+        # the fast route builds no divisor list
+        code, out, _ = run_cli(capsys, *field, "--mode", "fast", "char-order", "1,1")
+        assert code == 0
+        assert "verdict: pass" in out
+
     def test_env_seed_override(self, capsys, monkeypatch):
         monkeypatch.setenv("QORDER_SEED", "42")
         code, out, _ = run_cli(capsys, "--p", "2", "--n", "2", "--seed", "5", "orders", "--format", "json")
