@@ -186,7 +186,9 @@ def _field_entries(config: CommandConfig):
 def cmd_factor(config: CommandConfig) -> ReportDocument:
     fq = base_field(config.p, config.s)
     if fq.size > config.size_bound:
-        raise QOrderError(f"base field size {fq.size} exceeds bound")
+        raise QOrderError(
+            f"base field with {fq.size} elements exceeds the size bound {config.size_bound}"
+        )
     fp = factor_xn_minus_1(config.n, fq, config.seed)
     rows = [
         {
@@ -483,6 +485,8 @@ def _resolve_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -
         raise ParseError(f"--s must be at least 1, got {args.s}")
     if args.n is None and "n" in reads:
         raise ParseError("--n is required for this command")
+    if args.n is not None and args.n < 1:
+        raise ParseError(f"--n must be at least 1, got {args.n}")
     config = CommandConfig(**{name: getattr(args, name) for name in _OPTIONS})
     if command == "corollary2":
         config.extra["n_max"] = MEYN_SWEEP_MAX_N if args.n_max is None else args.n_max

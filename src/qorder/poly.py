@@ -21,8 +21,9 @@ Beyond ring arithmetic this module provides the monic reciprocal
 f*(x) = f(0)^-1 x^deg(f) f(1/x), one distinct-degree loop that serves the
 Ben-Or irreducibility test and the polynomial Euler totient phi_q of any
 nonzero polynomial, the factorization of x^n - 1 (each cyclotomic part split
-at its known degree), and the divisor lattice of a factored polynomial
-(multiplied out once and kept on the FactoredPoly itself).
+at its known degree by the trace map, whose q-power steps are squarings for
+q = 2 and one q-power matrix mod f for q > 2), and the divisor lattice of a
+factored polynomial (multiplied out once and kept on the FactoredPoly itself).
 """
 
 from __future__ import annotations
@@ -609,36 +610,76 @@ class FactoredPoly:
         return tuple(f for f, _ in self._phi_table)
 
 
+def _q_power_map(f: FqPoly):
+    """The map (t, r) -> t^q + r mod f, for t and r reduced mod f.
+
+    For q = 2 it squares by spreading bits.  For q > 2 it is F_q-linear in t, as
+    t(x)^q = t(x^q): column i of its matrix is x^(q*i) mod f, the powers of X =
+    x^q mod f (the monomial x^q while q < deg f), and a step adds t_j times column
+    j onto r with _coeff_mul's term loops (ints mod p, _add_row, field calls).
+    """
+    field = f.field
+    if field.size == 2:
+        return lambda t, r: (t * t) % f + r
+    n, p, add, mul = f.degree, field.p, field.add, field.mul
+    exp, log, zech = field.exp, field.log, field.zech
+    X, cols = FqPoly.x(field).powmod(field.size, f), [FqPoly.one(field)]
+    while len(cols) < n:
+        cols.append((cols[-1] * X) % f)
+    cols = [[(i, log[c] if log else c) for i, c in enumerate(v.coeffs) if c] for v in cols]
+
+    def step(t: FqPoly, r: FqPoly) -> FqPoly:
+        out = list(r.coeffs) + [0] * (n - len(r.coeffs))
+        rows = [(tj, col) for tj, col in zip(t.coeffs, cols) if tj]
+        if exp is not None:
+            for tj, col in rows:
+                _add_row(out, 0, log[tj], col, exp, log, zech)
+        elif field.s == 1:
+            for tj, col in rows:
+                for i, c in col:
+                    out[i] += tj * c
+            out = [c % p for c in out]
+        else:
+            for tj, col in rows:
+                for i, c in col:
+                    out[i] = add(out[i], mul(tj, c))
+        return FqPoly._of_list(field, out)
+
+    return step
+
+
 def _equal_degree_split(f: FqPoly, d: int, rng: random.Random) -> list[FqPoly]:
     """Split a monic squarefree product of degree-d irreducibles completely.
 
-    A d that cannot be their degree raises AssertionError instead of looping:
-    deg f is no multiple of d, or a unit r drawn mod f has r^(q^d) != r.
+    Each draw r gives t = r + r^q + ... + r^(q^(d-1)) mod f by d - 1 steps
+    t <- t^q + r of _q_power_map, the F_{q^d}/F_q trace of r in every factor.
+    The split is gcd(Tr_{q/2}(t), f) for p = 2 and gcd(t^((q-1)/2) - 1, f) for
+    odd p (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 14).  A d
+    that cannot be the factors' degree raises AssertionError instead of
+    looping: deg f is no multiple of d, or t^q != t, that is r^(q^d) != r.
     """
     assert f.degree % d == 0, f"degree {f.degree} is no multiple of {d}"
     if f.degree == d:
         return [f]
     field = f.field
-    q, one = field.size, FqPoly.one(field)
+    q, zero, one = field.size, FqPoly.zero(field), FqPoly.one(field)
+    step = _q_power_map(f)
     while True:
         if q == 2:
             r = FqPoly._of_mask(field, rng.getrandbits(f.degree))
         else:
             r = FqPoly._of_list(field, [rng.randrange(q) for _ in range(f.degree)])
-        g = poly_gcd(r, f)
-        if g.degree == 0:  # r is a unit mod f
-            if field.p == 2:
-                # F_2-trace map of r in F_{q^d}: sum of the s*d two-power conjugates
-                w, acc = FqPoly.zero(field), r
-                for _ in range(field.s * d):
-                    w = w + acc
-                    acc = (acc * acc) % f
-                assert acc == r, f"not every factor has degree {d}"
-                g = poly_gcd(w, f)
-            else:
-                w = r.powmod((q**d - 1) // 2, f)
-                assert (w * w) % f == one, f"not every factor has degree {d}"
-                g = poly_gcd(w - one, f)
+        t = r
+        for _ in range(d - 1):
+            t = step(t, r)
+        assert step(t, zero) == t, f"not every factor has degree {d}"
+        if field.p == 2:
+            w = t
+            for _ in range(field.s - 1):
+                w = (w * w) % f + t
+        else:
+            w = t.powmod((q - 1) // 2, f) - one
+        g = poly_gcd(w, f)
         if 0 < g.degree < f.degree:
             return _equal_degree_split(g, d, rng) + _equal_degree_split(f // g, d, rng)
 

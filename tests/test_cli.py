@@ -405,6 +405,24 @@ class TestConfigPlumbing:
         assert err == f"error: --s must be at least 1, got {argv[1]}\n"
         assert out == ""
 
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    @pytest.mark.parametrize(
+        "argv",
+        [("factor",), ("orders",), ("verify-theorem",), ("char-order", "1"), ("pnbt",)],
+    )
+    def test_n_below_one_rejected(self, capsys, argv, n):
+        code, out, err = run_cli(capsys, "--p", "2", "--n", n, *argv)
+        assert code == 2
+        assert err == f"error: --n must be at least 1, got {n}\n"
+        assert out == ""
+
+    def test_factor_size_bound_names_the_bound(self, capsys):
+        argv = ("--p", "3", "--s", "2", "--size-bound", "5", "factor", "--n", "4")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err == "error: base field with 9 elements exceeds the size bound 5\n"
+        assert out == ""
+
     def test_prime_power_q_accepted_on_corollary2(self, capsys):
         code, out, _ = run_cli(
             capsys, "--p", "3", "--s", "2", "corollary2", "--n-max", "2", "--format", "json"

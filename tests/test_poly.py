@@ -37,6 +37,7 @@ from qorder.poly import (
     _coeff_mul,
     _distinct_degree,
     _equal_degree_split,
+    _q_power_map,
 )
 
 from oracles import (
@@ -579,15 +580,77 @@ class TestFactorXnMinus1:
             with pytest.raises(AssertionError):
                 _equal_degree_split(phi7, d, random.Random(seed))
 
-    @pytest.mark.parametrize("field", [F2, F3], ids=["F2", "F3"])
+    @pytest.mark.parametrize("field", [F2, F3, F7, F8], ids=["F2", "F3", "F7", "F8"])
     def test_equal_degree_split_rejects_a_wrong_degree_that_divides(self, field):
-        # Phi_5 is irreducible of degree 4 over F_2 and F_3: at degree 2 no draw
-        # ever splits it, so only the r^(q^2) = r check stops the loop
+        # Phi_5 is irreducible of degree 4 over F_2, F_3, F_7 and F_8: at degree 2
+        # no draw ever splits it, so only the r^(q^2) = r check stops the loop
         phi5 = FqPoly(field, [1] * 5)
         assert _equal_degree_split(phi5, 4, random.Random(0)) == [phi5]
         for seed in range(5):
             with pytest.raises(AssertionError):
                 _equal_degree_split(phi5, 2, random.Random(seed))
+
+    @pytest.mark.parametrize("field", [F4, F9], ids=["F4", "F9"])
+    def test_equal_degree_split_of_two_quadratics(self, field):
+        # Phi_5 is two irreducible quadratics over F_4 and F_9 (5 divides q^2 - 1
+        # but not q - 1): at degree 1 no split reaches a linear factor, so the
+        # t^q = t check ends every attempt, and at degree 2 both quadratics appear
+        phi5 = FqPoly(field, [1] * 5)
+        for seed in range(5):
+            with pytest.raises(AssertionError):
+                _equal_degree_split(phi5, 1, random.Random(seed))
+        quadratics = [g for g, _ in factor_xn_minus_1(5, field).factors if g.degree == 2]
+        assert len(quadratics) == 2
+        for seed in range(5):
+            split = _equal_degree_split(phi5, 2, random.Random(seed))
+            assert sorted(split, key=poly_sort_key) == quadratics
+
+    @pytest.mark.parametrize("n,q", [(19, 9), (11, 3), (13, 5)])
+    def test_split_raises_nothing_to_a_power_above_q(self, monkeypatch, n, q):
+        # The conjugates r^(q^i) come from the q-power matrix, not from r raised
+        # to (q^d - 1)/2: only x^q mod f and t^((q - 1)/2) go through powmod
+        p, s = prime_power_decomposition(q)
+        field, exponents, powmod = base_field(p, s), [], FqPoly.powmod
+
+        def recording(self, exponent, modulus):
+            exponents.append(exponent)
+            return powmod(self, exponent, modulus)
+
+        monkeypatch.setattr(FqPoly, "powmod", recording)
+        fp = factor_xn_minus_1(n, field)
+        assert fp.expand() == FqPoly.x_pow_minus_one(field, n)
+        assert exponents and max(exponents) <= q
+
+
+class TestQPowerMap:
+    """_q_power_map(f)(t, r) against t.powmod(q, f) + r: F_p loops over F_3, F_5
+    and F_7, XOR rows over F_4 and F_8, Zech rows over F_9 and F_25, field calls
+    past the tables over F_{3^9}, and F_{2^61 - 1}, where q > deg f makes
+    x^q mod f a dense polynomial.  Over F_{3^9} each term is a field call, so
+    its degrees stop at 13."""
+
+    @pytest.mark.parametrize(
+        "p,s,max_degree",
+        [(3, 1, 30), (5, 1, 30), (7, 1, 30), (2, 2, 30), (2, 3, 30), (3, 2, 30), (5, 2, 30)]
+        + [(3, 9, 13), (2**61 - 1, 1, 30)],
+    )
+    def test_matches_powmod(self, p, s, max_degree):
+        field = base_field(p, s)
+        q, rng = field.size, random.Random(p * 100 + s)
+
+        def draw(degree):
+            return FqPoly(field, [rng.randrange(q) for _ in range(degree)])
+
+        for degree in (d for d in (1, 2, 3, 5, 8, 13, 21, 30) if d <= max_degree):
+            while True:  # monic and squarefree: gcd(f, f') = 1
+                f = FqPoly(field, [rng.randrange(q) for _ in range(degree)] + [1])
+                df = FqPoly(field, [field.mul(k % p, c) for k, c in enumerate(f.coeffs)][1:])
+                if poly_gcd(f, df).degree == 0:
+                    break
+            step = _q_power_map(f)
+            for _ in range(2):
+                t, r = draw(degree), draw(degree)
+                assert step(t, r) == t.powmod(q, f) + r, (f, t, r)
 
 
 class TestDivisors:
